@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-service vet doccheck net-smoke net-trace trend ci serve bench-smoke bench-payments bench-faults bench-multiload bench-hotpath bench-pipeline bench-adversary bench-obs faults-soak fuzz-smoke fuzz-short cover clean
+.PHONY: all build test race race-service vet doccheck net-smoke net-trace ci serve bench-smoke bench-payments bench-faults bench-obs faults-soak fuzz-smoke fuzz-short cover clean
 
 all: build test
 
@@ -51,15 +51,16 @@ net-trace:
 # The full gate a change must pass before merging: build, vet, the
 # doc-comment lint, the race-enabled test suite (which includes the
 # service load test and the protocol transport under -race), the
-# coverage floor, a short run of every fuzz target, the envelope
-# hot-path benchmark (which doubles as the payment-parity and zero-alloc
-# regression check), the pipelined-packing benchmark (which asserts the
-# 1.3x-over-FIFO throughput target at batch depth >= 4), and the
-# Byzantine adversary gate (targeted faults, framing, crashes and
-# referee failover must all end with honest survivors paid), the
-# multi-process loopback smoke, and the distributed-telemetry trace
-# smoke (merged 3-process Chrome trace with payment parity intact).
-ci: build vet doccheck race cover fuzz-short bench-hotpath bench-pipeline bench-adversary net-smoke net-trace
+# coverage floor, a short run of every fuzz target, the multi-process
+# loopback smoke, and the distributed-telemetry trace smoke (merged
+# 3-process Chrome trace with payment parity intact). The performance
+# gates run inside the test suite: TestX18MeetsTarget (pipelined packing
+# >= 1.3x FIFO at batch depth >= 4), TestSentinelStaysClearOnAdversaryTiers
+# (every Byzantine tier ends with honest survivors paid and its defensive
+# outcome held), and TestHotPathParityProperty, TestHotPathAllocs and
+# TestBinaryCodecAllocs (hot-path payment parity and zero allocations).
+# End-to-end performance is measured by `bash perfbench/run.sh`.
+ci: build vet doccheck race cover fuzz-short net-smoke net-trace
 
 # Statement-coverage gate. The floor is set just under the measured
 # suite-wide figure so a change that lands untested code fails loudly;
@@ -105,61 +106,20 @@ serve:
 faults-soak:
 	DLSBL_SOAK_ROUNDS=250 $(GO) test -run=TestMixedFaultSoak -v ./internal/protocol/
 
-# Fault-tolerant transport measurements → BENCH_FAULTS.json (sibling of
-# BENCH_PAYMENTS.json), plus the zero-overhead guard benchmarks.
+# Fault-tolerant transport benchmarks: the reliable broadcast and the
+# zero-overhead guard on a fault-free protocol run.
 bench-faults:
 	$(GO) test -run=NONE -bench='BroadcastReliable|ProtocolRun' -benchmem ./internal/bus/ ./internal/protocol/
-	$(GO) run ./cmd/dls-bench -faults
-
-# Amortized multi-load bidding vs per-job bidding → BENCH_MULTILOAD.json:
-# wall time, bus traffic and the payment-parity check for k-job streams.
-bench-multiload:
-	$(GO) run ./cmd/dls-bench -multiload
-
-# Envelope hot path → BENCH_HOTPATH.json: reuse-round ns/op legacy vs
-# hot (binary codec + verify memo), payment parity across arms, the
-# zero-alloc guards, and a sustained service soak (rounds/min, p99).
-bench-hotpath:
-	$(GO) run ./cmd/dls-bench -hotpath
-
-# Pipelined cross-job packing vs the FIFO runner → BENCH_PIPELINE.json:
-# the D×R sweep on the default m=16 pool, the live-protocol replay of
-# the D=4, R=4 cell, and the meets_target verdict (speedup >= 1.3 at
-# batch depth >= 4). Fails if the target is missed.
-bench-pipeline:
-	$(GO) run ./cmd/dls-bench -pipeline
-	@grep -q '"meets_target": true' BENCH_PIPELINE.json || \
-		{ echo "BENCH_PIPELINE.json missed the 1.3x throughput target"; exit 1; }
-
-# Byzantine adversary tiers → BENCH_ADVERSARY.json: targeted per-pair
-# fault plans around the corroboration threshold, a framing attack, a
-# mid-run crash, and crash plus referee failover. The meets_target
-# verdict requires every tier to end with honest survivors completing
-# the round, no honest processor fined, and the tier's defensive outcome
-# (eviction set, framing conviction, verified failover transcript) to
-# hold. Fails loudly if any tier regresses.
-bench-adversary:
-	$(GO) run ./cmd/dls-bench -adversary
-	@grep -q '"meets_target": true' BENCH_ADVERSARY.json || \
-		{ echo "BENCH_ADVERSARY.json failed the adversary gate"; exit 1; }
-
-# Fold every BENCH_*.json sibling report into TREND.json — the flat
-# metric-point trajectory document dashboards diff across commits. Run
-# the bench modes you care about first; the trend covers whatever
-# reports exist and fails only when there are none.
-trend:
-	$(GO) run ./cmd/dls-bench -trend
 
 # One iteration of every benchmark — catches bit-rot in the bench
 # harness without paying for real measurements.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
-# Real numbers for the payment hot path (the O(m) engine vs the naive
-# O(m²) baseline) plus the machine-readable BENCH_PAYMENTS.json.
+# Real numbers for the payment hot path: the O(m) engine vs the naive
+# O(m²) baseline.
 bench-payments:
 	$(GO) test -run=NONE -bench='MechanismRun|PaymentEngineRunInto' -benchmem .
-	$(GO) run ./cmd/dls-bench -json
 
 # Tracer overhead guard: the nil-tracer path (every run without -trace)
 # against a streaming NDJSON tracer, over a full protocol run. The nil

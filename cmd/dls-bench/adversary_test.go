@@ -1,136 +1,55 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
+	"fmt"
 	"testing"
+
+	"dlsbl/internal/adversarytest"
+	"dlsbl/internal/experiments"
 )
 
-// TestAdversaryBenchMeetsTarget is the CI gate behind `make
-// bench-adversary`: the seeded adversary tiers must leave every honest
-// survivor set finishing its round and every framer convicted. It runs
-// the real generator end to end and checks the written report, so the
-// gate and the committed BENCH_ADVERSARY.json can never drift apart in
-// shape.
+// TestAdversaryBenchMeetsTarget checks the adversary table dls-bench
+// prints (experiment X19, default seed) row by row: every tier leaves
+// the honest survivors finishing their round, only the framer is
+// fined, the eviction set is exactly the corroboration rule's, and the
+// rows the notes call bit-identical to the clean bus really are.
 func TestAdversaryBenchMeetsTarget(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_ADVERSARY.json")
-	if err := runAdversaryBench(42, path); err != nil {
-		t.Fatal(err)
+	e, ok := experiments.ByID("X19")
+	if !ok {
+		t.Fatal("X19 not registered")
 	}
-	data, err := os.ReadFile(path)
+	res, err := e.Run(42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var report adversaryReport
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatal(err)
+	const m = 6
+	victim := fmt.Sprintf("[%s]", adversarytest.ProcID(m/2))
+	framer := fmt.Sprintf("[%s]", adversarytest.ProcID(0))
+	want := []struct{ evicted, fined, payments string }{
+		{"—", "—", "bit-identical"},    // clean bus
+		{"—", "—", "bit-identical"},    // drop below the threshold: bid relayed
+		{victim, "—", "reduced pool"},  // drop at the threshold: victim evicted
+		{"—", framer, "bit-identical"}, // framing: rival keeps its seat, framer fined
+		{victim, "—", "reduced pool"},  // crash in Processing Load
+		{victim, "—", "reduced pool"},  // crash + referee failover
 	}
-	if !report.MeetsTarget {
-		t.Fatalf("adversary gate failed:\n%s", data)
+	rows := res.Table.Rows
+	if len(rows) != len(want) {
+		t.Fatalf("X19 has %d rows, want %d:\n%s", len(rows), len(want), res.Table)
 	}
-	if len(report.Cases) != 6 {
-		t.Fatalf("%d cases, want 6", len(report.Cases))
-	}
-	tiers := make(map[string]bool)
-	for _, c := range report.Cases {
-		tiers[c.Tier] = true
-		if !c.Completed {
-			t.Errorf("%s: honest survivors did not finish", c.Name)
+	for i, w := range want {
+		row := rows[i]
+		if row[1] != "true" {
+			t.Errorf("%s: honest survivors did not finish", row[0])
 		}
-		if !c.OK {
-			t.Errorf("%s: defensive outcome check failed (evicted=%v fined=%v)",
-				c.Name, c.Evicted, c.Fined)
+		if row[2] != w.evicted {
+			t.Errorf("%s: evicted %s, want %s", row[0], row[2], w.evicted)
 		}
-	}
-	for _, tier := range []string{"targeted-faults", "framing", "crash", "crash+failover"} {
-		if !tiers[tier] {
-			t.Errorf("tier %q not exercised", tier)
+		if row[3] != w.fined {
+			t.Errorf("%s: fined %s, want %s", row[0], row[3], w.fined)
 		}
-	}
-}
-
-// TestFaultsBenchWritesReport keeps the -faults generator regression-
-// tested: it must produce a well-formed report whose reliable baseline
-// completed without retransmissions.
-func TestFaultsBenchWritesReport(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_FAULTS.json")
-	if err := runFaultsBench(42, path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report faultReport
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatal(err)
-	}
-	if len(report.Cases) == 0 {
-		t.Fatal("no fault cases recorded")
-	}
-	for _, c := range report.Cases {
-		if c.Name == "protocol/reliable" {
-			if !c.Completed || c.Retransmits != 0 {
-				t.Errorf("reliable baseline: completed=%v retransmits=%d", c.Completed, c.Retransmits)
-			}
-		}
-	}
-}
-
-// TestTraceBenchWritesChromeTrace smoke-tests the -trace mode: the
-// canned faulty multiload session must produce a parsable Chrome
-// trace-event array.
-func TestTraceBenchWritesChromeTrace(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "TRACE.json")
-	if err := runTraceBench(42, path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var trace struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(data, &trace); err != nil {
-		t.Fatalf("trace is not a Chrome trace object: %v", err)
-	}
-	if len(trace.TraceEvents) == 0 {
-		t.Fatal("trace has no events")
-	}
-}
-
-// TestMultiloadBenchPaymentParity regression-tests the -multiload
-// generator: the amortized session must pay bit-identically to the
-// per-job stream on every pool size, and the steady-state reuse round
-// must move less traffic than the bidding round it amortizes.
-func TestMultiloadBenchPaymentParity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multiload generator takes ~20s")
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_MULTILOAD.json")
-	if err := runMultiloadBench(42, path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report multiloadReport
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatal(err)
-	}
-	if !report.PayParity {
-		t.Error("amortized payments diverged from the per-job stream")
-	}
-	if len(report.Cases) != 6 {
-		t.Fatalf("%d cases, want 6", len(report.Cases))
-	}
-	for _, c := range report.Cases {
-		if c.Name == "multiload/amortized" && c.ReuseRound >= c.BidRound {
-			t.Errorf("m=%d: reuse round moved %d deliveries, bid round %d — nothing amortized",
-				c.M, c.ReuseRound, c.BidRound)
+		if row[4] != w.payments {
+			t.Errorf("%s: payments vs clean %q, want %q", row[0], row[4], w.payments)
 		}
 	}
 }

@@ -9,14 +9,10 @@
 //	dls-bench -id E6        # run one experiment
 //	dls-bench -seed 7       # change the reproducibility seed
 //	dls-bench -list         # list experiments
-//	dls-bench -json         # benchmark the payment paths → BENCH_PAYMENTS.json
-//	dls-bench -faults       # benchmark the fault-tolerant transport → BENCH_FAULTS.json
-//	dls-bench -multiload    # benchmark amortized bidding → BENCH_MULTILOAD.json
-//	dls-bench -hotpath      # benchmark the envelope hot path → BENCH_HOTPATH.json
-//	dls-bench -pipeline     # pipelined packing vs FIFO sweep → BENCH_PIPELINE.json
-//	dls-bench -adversary    # Byzantine adversary tiers → BENCH_ADVERSARY.json
 //	dls-bench -trace        # canned faulty multiload run → TRACE.json (chrome://tracing)
-//	dls-bench -trend        # fold every BENCH_*.json into one trajectory report → TREND.json
+//
+// Performance is measured by perfbench (bash perfbench/run.sh) and the
+// go test -bench benchmarks, not by this command.
 package main
 
 import (
@@ -35,100 +31,15 @@ func main() {
 	format := flag.String("format", "text", "output format: text or csv")
 	outPath := flag.String("o", "", "write output to this file instead of stdout")
 	parallel := flag.Bool("parallel", false, "run experiments concurrently (results still print in order)")
-	jsonBench := flag.Bool("json", false, "benchmark the payment paths and write BENCH_PAYMENTS.json (honors -o)")
-	faultsBench := flag.Bool("faults", false, "benchmark the fault-tolerant transport and write BENCH_FAULTS.json (honors -o)")
-	multiloadBench := flag.Bool("multiload", false, "benchmark amortized multi-load bidding and write BENCH_MULTILOAD.json (honors -o)")
-	hotpathBench := flag.Bool("hotpath", false, "benchmark batch verification and the zero-alloc envelope hot path and write BENCH_HOTPATH.json (honors -o)")
-	pipelineBench := flag.Bool("pipeline", false, "benchmark pipelined cross-job packing against the FIFO runner and write BENCH_PIPELINE.json (honors -o)")
-	adversaryBench := flag.Bool("adversary", false, "drive the Byzantine adversary tiers and write BENCH_ADVERSARY.json (honors -o)")
 	traceBench := flag.Bool("trace", false, "run a canned faulty multiload session and write a Chrome trace to TRACE.json (honors -o)")
-	trend := flag.Bool("trend", false, "fold every BENCH_*.json in -trend-dir into one trajectory report, TREND.json (honors -o)")
-	trendDir := flag.String("trend-dir", ".", "directory scanned for BENCH_*.json by -trend")
 	flag.Parse()
 
-	if *jsonBench {
-		path := "BENCH_PAYMENTS.json"
-		if *outPath != "" {
-			path = *outPath
-		}
-		if err := runJSONBench(*seed, path); err != nil {
-			fmt.Fprintf(os.Stderr, "dls-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *faultsBench {
-		path := "BENCH_FAULTS.json"
-		if *outPath != "" {
-			path = *outPath
-		}
-		if err := runFaultsBench(*seed, path); err != nil {
-			fmt.Fprintf(os.Stderr, "dls-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *multiloadBench {
-		path := "BENCH_MULTILOAD.json"
-		if *outPath != "" {
-			path = *outPath
-		}
-		if err := runMultiloadBench(*seed, path); err != nil {
-			fmt.Fprintf(os.Stderr, "dls-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *hotpathBench {
-		path := "BENCH_HOTPATH.json"
-		if *outPath != "" {
-			path = *outPath
-		}
-		if err := runHotpathBench(*seed, path); err != nil {
-			fmt.Fprintf(os.Stderr, "dls-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *pipelineBench {
-		path := "BENCH_PIPELINE.json"
-		if *outPath != "" {
-			path = *outPath
-		}
-		if err := runPipelineBench(*seed, path); err != nil {
-			fmt.Fprintf(os.Stderr, "dls-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *adversaryBench {
-		path := "BENCH_ADVERSARY.json"
-		if *outPath != "" {
-			path = *outPath
-		}
-		if err := runAdversaryBench(*seed, path); err != nil {
-			fmt.Fprintf(os.Stderr, "dls-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *traceBench {
 		path := "TRACE.json"
 		if *outPath != "" {
 			path = *outPath
 		}
 		if err := runTraceBench(*seed, path); err != nil {
-			fmt.Fprintf(os.Stderr, "dls-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *trend {
-		path := "TREND.json"
-		if *outPath != "" {
-			path = *outPath
-		}
-		if err := runTrend(*trendDir, path); err != nil {
 			fmt.Fprintf(os.Stderr, "dls-bench: %v\n", err)
 			os.Exit(1)
 		}

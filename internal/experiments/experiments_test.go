@@ -304,6 +304,44 @@ func TestWarmKeyringParity(t *testing.T) {
 	}
 }
 
+// TestX18MeetsTarget pins X18's throughput claim: on the default m=16
+// pool, every fully pipelined cell (R=4) at batch depth D>=4 — the
+// packed rows and the live-protocol replay of D=4, R=4 — reaches at
+// least 1.3x the FIFO runner's throughput.
+func TestX18MeetsTarget(t *testing.T) {
+	e, ok := ByID("X18")
+	if !ok {
+		t.Fatal("X18 not registered")
+	}
+	res, err := e.Run(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var packed, live int
+	for _, row := range res.Table.Rows {
+		d, errD := strconv.Atoi(row[0])
+		r, errR := strconv.Atoi(row[1])
+		s, errS := strconv.ParseFloat(strings.TrimSpace(row[5]), 64)
+		if errD != nil || errR != nil || errS != nil {
+			t.Fatalf("unparsable X18 row %q", row)
+		}
+		if d < 4 || r != 4 {
+			continue
+		}
+		if strings.Contains(row[2], "live") {
+			live++
+		} else {
+			packed++
+		}
+		if s < 1.3 {
+			t.Errorf("X18 D=%d R=%d %s: speedup %.3f below the 1.3x target", d, r, row[2], s)
+		}
+	}
+	if packed != 2 || live != 1 {
+		t.Fatalf("X18 has %d packed and %d live D>=4, R=4 rows, want 2 and 1", packed, live)
+	}
+}
+
 // TestX17AmortizationShape pins X17's two claims: amortization never
 // moves a payment, and the reuse-round traffic is Θ(m) while the full
 // round stays Θ(m²).

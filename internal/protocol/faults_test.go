@@ -13,6 +13,8 @@ import (
 
 // faultFreeReference runs the honest configuration on a reliable bus and
 // returns its outcome, the baseline every faulty run is compared against.
+// A reliable bus must never trip the retry machinery: no retransmission,
+// discard or timeout.
 func faultFreeReference(t testing.TB, net dlt.Network) *Outcome {
 	t.Helper()
 	out, err := Run(honestConfig(net))
@@ -21,6 +23,9 @@ func faultFreeReference(t testing.TB, net dlt.Network) *Outcome {
 	}
 	if !out.Completed {
 		t.Fatalf("fault-free reference run did not complete: %+v", out.Verdicts)
+	}
+	if out.Fault != (FaultStats{}) {
+		t.Fatalf("fault-free reference run used the retry machinery: %+v", out.Fault)
 	}
 	return out
 }

@@ -10,6 +10,7 @@ import (
 	"dlsbl/internal/bus"
 	"dlsbl/internal/dlt"
 	"dlsbl/internal/obs"
+	"dlsbl/internal/referee"
 )
 
 // The sentinel's false-positive contract: the economic invariants it
@@ -20,18 +21,20 @@ import (
 // tiers) must therefore stay clear; anything it latches in these sweeps
 // is a protocol bug, not an adversary.
 
-// runWithSentinel plays cfg with a fresh sentinel attached and fails the
-// test if it latches.
-func runWithSentinel(t *testing.T, name string, cfg Config) {
+// runWithSentinel plays cfg with a fresh sentinel attached, fails the
+// test if it latches, and returns the run's outcome.
+func runWithSentinel(t *testing.T, name string, cfg Config) *Outcome {
 	t.Helper()
 	s := obs.NewSentinel()
 	cfg.Tracer = obs.Multi(cfg.Tracer, s)
-	if _, err := Run(cfg); err != nil {
+	out, err := Run(cfg)
+	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
 	if !s.Ok() {
 		t.Errorf("%s: sentinel latched on a correct execution: %q", name, s.Violations())
 	}
+	return out
 }
 
 func TestSentinelStaysClearOnHonestRuns(t *testing.T) {
@@ -69,9 +72,13 @@ func TestSentinelStaysClearOnFaultyBusSweep(t *testing.T) {
 }
 
 // The X19 shape: the Byzantine adversary tiers — targeted faults below
-// and at the corroboration threshold, framing, crashes, and referee
-// failover — each producing real evictions and convictions whose
-// transcript must still satisfy the sentinel.
+// and at the corroboration threshold, random link faults, framing,
+// crashes, and referee failover — each producing real evictions and
+// convictions whose transcript must still satisfy the sentinel. Every
+// tier must also hold its defensive outcome: the honest survivors
+// finish the round, no honest processor is fined, and the tier's own
+// check (eviction set, framing conviction, verified failover
+// transcript) passes.
 func TestSentinelStaysClearOnAdversaryTiers(t *testing.T) {
 	const m = 6
 	rng := rand.New(rand.NewSource(42))
@@ -90,42 +97,86 @@ func TestSentinelStaysClearOnAdversaryTiers(t *testing.T) {
 		}
 		return ids
 	}
-	thresh := (m + 1) / 2
+	thresh := referee.CorroborationThreshold(m)
+	evictsNobody := func(out *Outcome) error {
+		if len(out.Evictions) != 0 {
+			return fmt.Errorf("evicted %v, want nobody", out.Evictions)
+		}
+		return nil
+	}
+	evictsVictim := func(out *Outcome) error {
+		if len(out.Evictions) != 1 || out.Evictions[0].Proc != victim {
+			return fmt.Errorf("evicted %v, want exactly %s", out.Evictions, victim)
+		}
+		return nil
+	}
 
 	cases := []struct {
 		name string
 		cfg  func() Config
+		// check judges the tier's defensive outcome beyond completion.
+		check func(out *Outcome) error
 	}{
 		{"drop-below-threshold", func() Config {
 			cfg := base
 			cfg.Faults = adversarytest.Blackhole(42, victim, peers(thresh-1)...)
 			return cfg
-		}},
+		}, evictsNobody},
 		{"drop-at-threshold", func() Config {
 			cfg := base
 			cfg.Faults = adversarytest.Blackhole(42, victim, peers(thresh)...)
 			return cfg
-		}},
+		}, evictsVictim},
+		{"random-pairs", func() Config {
+			cfg := base
+			cfg.Faults = adversarytest.RandomPairs(42, m, 4, 0.8)
+			return cfg
+		}, func(*Outcome) error { return nil }},
 		{"framing", func() Config {
 			cfg := base
 			cfg.Behaviors = adversarytest.Framing(m, 0)
 			return cfg
+		}, func(out *Outcome) error {
+			if rival := adversarytest.FramingRival(m, 0); out.Evicted[rival] {
+				return fmt.Errorf("framed rival %s lost its seat", out.Procs[rival])
+			}
+			if !(out.Fines[0] > 0) {
+				return fmt.Errorf("framer %s not fined", out.Procs[0])
+			}
+			return nil
 		}},
 		{"crash", func() Config {
 			cfg := base
 			cfg.Faults = adversarytest.CrashPlan(42, 0, victim)
 			return cfg
-		}},
+		}, evictsVictim},
 		{"crash-with-failover", func() Config {
 			cfg := base
 			cfg.Standby = true
 			cfg.FailoverIn = obs.PhaseProcessing
 			cfg.Faults = adversarytest.CrashPlan(42, 0, victim)
 			return cfg
+		}, func(out *Outcome) error {
+			if err := evictsVictim(out); err != nil {
+				return err
+			}
+			return referee.VerifyEntries(out.Transcript)
 		}},
 	}
 	for _, tc := range cases {
-		runWithSentinel(t, tc.name, tc.cfg())
+		cfg := tc.cfg()
+		out := runWithSentinel(t, tc.name, cfg)
+		if !out.Completed {
+			t.Errorf("%s: honest survivors did not finish (terminated in %s)", tc.name, out.TerminatedIn)
+		}
+		for i, fine := range out.Fines {
+			if fine > 0 && (cfg.Behaviors == nil || !cfg.Behaviors[i].FrameRival) {
+				t.Errorf("%s: honest %s fined %v", tc.name, out.Procs[i], fine)
+			}
+		}
+		if err := tc.check(out); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
 	}
 }
 

@@ -168,6 +168,33 @@ func TestHTTPStatusCodes(t *testing.T) {
 	resp.Body.Close()
 }
 
+// TestHTTPRejectsOutOfRangeSpecs: a pool whose rates or fine could never
+// run a round, and a job with a negative dataset field, answer 400 at
+// creation or admission instead of failing later.
+func TestHTTPRejectsOutOfRangeSpecs(t *testing.T) {
+	srv := New(Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	if _, err := srv.CreatePool(PoolSpec{Name: "p", TrueW: []float64{1, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/pools", `{"name":"bad","w":[-1,2]}`},
+		{"/v1/pools", `{"name":"bad","w":[0,2]}`},
+		{"/v1/pools", `{"name":"bad","w":[1,2],"fine":-5}`},
+		{"/v1/jobs", `{"pool":"p","jobs":[{"z":-0.2,"seed":1}]}`},
+		{"/v1/jobs", `{"pool":"p","jobs":[{"z":0.2,"seed":1,"nblocks":-4}]}`},
+		{"/v1/jobs", `{"pool":"p","jobs":[{"z":0.2,"seed":1,"blocksize":-8}]}`},
+	} {
+		resp := postJSON(t, ts.URL+tc.path, tc.body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s %s → %s, want 400", tc.path, tc.body, resp.Status)
+		}
+	}
+}
+
 // TestHTTPFaultyJob exercises the per-job fault plan and retry policy
 // through the JSON surface.
 func TestHTTPFaultyJob(t *testing.T) {

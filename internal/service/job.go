@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"dlsbl/internal/agent"
@@ -40,9 +41,16 @@ type JobSpec struct {
 	InstallmentPolicy string `json:"installment_policy,omitempty"`
 }
 
-// toJob resolves the spec into a session job, rejecting unknown behavior
-// names.
+// toJob resolves the spec into a session job, rejecting negative or
+// non-finite dataset parameters and unknown behavior names, so a job that
+// could never run fails admission instead of its round.
 func (spec JobSpec) toJob() (session.Job, error) {
+	if !(spec.Z >= 0) || math.IsInf(spec.Z, 0) {
+		return session.Job{}, fmt.Errorf("z must be finite and >= 0, got %v", spec.Z)
+	}
+	if spec.NBlocks < 0 || spec.BlockSize < 0 {
+		return session.Job{}, fmt.Errorf("nblocks and blocksize must be >= 0, got %d and %d", spec.NBlocks, spec.BlockSize)
+	}
 	job := session.Job{
 		Z:         spec.Z,
 		Seed:      spec.Seed,
@@ -105,7 +113,7 @@ func parseArtifacts(names []string) (map[string]bool, error) {
 // result; the pool runner fills it and closes Done.
 type Task struct {
 	pool      *Pool
-	spec      JobSpec
+	job       session.Job // the JobSpec, resolved once at admission
 	artifacts map[string]bool
 	index     int
 	enqueued  time.Time

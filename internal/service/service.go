@@ -36,9 +36,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dlsbl/internal/dlt"
 	"dlsbl/internal/obs"
 	"dlsbl/internal/pipeline"
+	"dlsbl/internal/session"
 )
 
 // Errors the admission path reports; the HTTP layer maps them to status
@@ -184,12 +184,15 @@ func (s *Server) Submit(pool string, jobs []JobSpec, artifacts []string) ([]*Tas
 	if err != nil {
 		return nil, err
 	}
-	// Behavior names are resolved at admission so a typo fails the whole
-	// submission up front, not job k of n mid-stream.
+	// Specs are resolved at admission so a typo or an out-of-range field
+	// fails the whole submission up front, not job k of n mid-stream.
+	resolved := make([]session.Job, len(jobs))
 	for i, spec := range jobs {
-		if _, err := spec.toJob(); err != nil {
+		job, err := spec.toJob()
+		if err != nil {
 			return nil, fmt.Errorf("service: job %d: %w", i, err)
 		}
+		resolved[i] = job
 	}
 	p, ok := s.Pool(pool)
 	if !ok {
@@ -204,10 +207,10 @@ func (s *Server) Submit(pool string, jobs []JobSpec, artifacts []string) ([]*Tas
 	}
 	now := time.Now()
 	tasks := make([]*Task, len(jobs))
-	for i, spec := range jobs {
+	for i, job := range resolved {
 		tasks[i] = &Task{
 			pool:      p,
-			spec:      spec,
+			job:       job,
 			artifacts: arts,
 			index:     i,
 			enqueued:  now,
@@ -299,17 +302,13 @@ func (s *Server) packBatch(p *Pool, batch []*Task) {
 		if rounds == 0 {
 			rounds = 1
 		}
-		policy := dlt.EqualRounds
-		if t.spec.InstallmentPolicy != "" {
-			policy, _ = dlt.ParseRoundPolicy(t.spec.InstallmentPolicy)
-		}
-		job, err := pipeline.JobFromOutcome(fmt.Sprintf("%s/r%d", p.spec.Name, t.res.Round), out, rounds, policy)
+		job, err := pipeline.JobFromOutcome(fmt.Sprintf("%s/r%d", p.spec.Name, t.res.Round), out, rounds, t.job.InstallmentPolicy)
 		if err != nil {
 			continue
 		}
 		jobs = append(jobs, job)
 		idx = append(idx, i)
-		z = t.spec.Z
+		z = t.job.Z
 	}
 	if len(jobs) < 2 {
 		return
@@ -344,32 +343,29 @@ func (s *Server) packBatch(p *Pool, batch []*Task) {
 func (s *Server) runTask(p *Pool, t *Task) {
 	started := time.Now()
 	res := JobResult{Event: "result", Pool: p.spec.Name, Job: t.index, Round: -1}
-	job, err := t.spec.toJob()
-	if err == nil {
-		var rec *obs.Recorder
-		job.Tracer = obs.Multi(p.obs, p.sentinel)
-		if t.artifacts[ArtifactTrace] {
-			rec = obs.NewRecorder()
-			job.Tracer = obs.Multi(p.obs, p.sentinel, rec)
-		}
-		if job.Installments > 1 {
-			p.inFlight.Store(int64(job.Installments))
-		}
-		p.mu.Lock()
-		res.Round = p.state.Round
-		out, stepErr := p.sess.Step(p.state, job)
-		banned := bannedNames(p.procNames, p.state.Banned)
-		p.mu.Unlock()
-		p.inFlight.Store(0)
-		err = stepErr
-		if out != nil {
-			t.out = out
-			res.fill(out, t.artifacts)
-			res.Banned = banned
-		}
-		if rec != nil {
-			res.Trace = rec.Records()
-		}
+	job := t.job
+	var rec *obs.Recorder
+	job.Tracer = obs.Multi(p.obs, p.sentinel)
+	if t.artifacts[ArtifactTrace] {
+		rec = obs.NewRecorder()
+		job.Tracer = obs.Multi(p.obs, p.sentinel, rec)
+	}
+	if job.Installments > 1 {
+		p.inFlight.Store(int64(job.Installments))
+	}
+	p.mu.Lock()
+	res.Round = p.state.Round
+	out, err := p.sess.Step(p.state, job)
+	banned := bannedNames(p.procNames, p.state.Banned)
+	p.mu.Unlock()
+	p.inFlight.Store(0)
+	if out != nil {
+		t.out = out
+		res.fill(out, t.artifacts)
+		res.Banned = banned
+	}
+	if rec != nil {
+		res.Trace = rec.Records()
 	}
 	if err != nil {
 		res.Error = err.Error()

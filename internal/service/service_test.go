@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -340,6 +341,19 @@ func TestAdmissionValidation(t *testing.T) {
 	if _, err := srv.Submit("p", nil, nil); err == nil {
 		t.Fatal("empty job list admitted")
 	}
+	for _, bad := range []JobSpec{
+		{Z: -0.2, Seed: 1},
+		{Z: math.NaN(), Seed: 1},
+		{Z: 0.2, Seed: 1, NBlocks: -1},
+		{Z: 0.2, Seed: 1, BlockSize: -1},
+	} {
+		if _, err := srv.Submit("p", []JobSpec{{Z: 0.2, Seed: 2}, bad}, nil); err == nil {
+			t.Fatalf("job %+v admitted", bad)
+		}
+	}
+	if srv.Queued() != 0 {
+		t.Fatalf("rejected submissions left %d jobs queued", srv.Queued())
+	}
 	if _, err := srv.CreatePool(PoolSpec{Name: "p", TrueW: []float64{1, 2}}); err == nil {
 		t.Fatal("duplicate pool admitted")
 	}
@@ -351,6 +365,12 @@ func TestAdmissionValidation(t *testing.T) {
 	}
 	if _, err := srv.CreatePool(PoolSpec{Name: "bad", TrueW: []float64{1, 2}, Policy: "lenient"}); err == nil {
 		t.Fatal("unknown policy admitted")
+	}
+	if _, err := srv.CreatePool(PoolSpec{Name: "bad", TrueW: []float64{-1, 2}}); err == nil {
+		t.Fatal("negative-rate pool admitted")
+	}
+	if _, err := srv.CreatePool(PoolSpec{Name: "bad", TrueW: []float64{1, 2}, Fine: -1}); err == nil {
+		t.Fatal("negative-fine pool admitted")
 	}
 }
 

@@ -18,6 +18,7 @@ package session
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"dlsbl/internal/agent"
 	"dlsbl/internal/bus"
@@ -190,6 +191,16 @@ func (s *Session) NewState() (*State, error) {
 	}
 	if s.Network != dlt.NCPFE && s.Network != dlt.NCPNFE {
 		return nil, fmt.Errorf("session: DLS-BL-NCP requires an NCP class, got %v", s.Network)
+	}
+	// The same rules protocol.Config.validate applies per round, checked
+	// once here so a pool that could never run a job is never created.
+	for i, w := range s.TrueW {
+		if !(w > 0) || math.IsInf(w, 0) {
+			return nil, fmt.Errorf("session: invalid true value w[%d]=%v", i, w)
+		}
+	}
+	if !(s.Fine >= 0) || math.IsInf(s.Fine, 0) {
+		return nil, fmt.Errorf("session: invalid fine %v", s.Fine)
 	}
 	st := &State{
 		CumulativeUtility: make([]float64, m),

@@ -1,6 +1,7 @@
 package session
 
 import (
+	"math"
 	"testing"
 
 	"dlsbl/internal/agent"
@@ -35,6 +36,28 @@ func TestValidation(t *testing.T) {
 	cp.Network = dlt.CP
 	if _, err := cp.Run(honestJobs(1)); err == nil {
 		t.Error("CP network accepted")
+	}
+	// A pool whose rates or fine could never run a round is refused at
+	// creation, not on its first job.
+	for name, mutate := range map[string]func(*Session){
+		"negative rate": func(s *Session) { s.TrueW[0] = -1 },
+		"zero rate":     func(s *Session) { s.TrueW[1] = 0 },
+		"NaN rate":      func(s *Session) { s.TrueW[2] = math.NaN() },
+		"infinite rate": func(s *Session) { s.TrueW[3] = math.Inf(1) },
+		"negative fine": func(s *Session) { s.Fine = -1 },
+		"NaN fine":      func(s *Session) { s.Fine = math.NaN() },
+		"infinite fine": func(s *Session) { s.Fine = math.Inf(1) },
+	} {
+		s := pool()
+		mutate(s)
+		if _, err := s.NewState(); err == nil {
+			t.Errorf("%s: pool accepted", name)
+		}
+	}
+	zeroFine := pool()
+	zeroFine.Fine = 0 // 0 derives the fine per job
+	if _, err := zeroFine.NewState(); err != nil {
+		t.Errorf("zero fine rejected: %v", err)
 	}
 }
 
