@@ -21,10 +21,13 @@ vet:
 
 # Focused race gate over the concurrent subsystems: the service daemon
 # (per-pool runners, queue backpressure, graceful drain, the 200-job
-# load test) and the protocol's reliable transport. `race` subsumes it;
-# this target exists for fast iteration on concurrency changes.
+# load test), the protocol's reliable transport, and the round's own
+# concurrency, which lives in sig: SealEach and VerifyEach fan a phase's
+# m signatures out across GOMAXPROCS workers, and the verify memo is
+# shared by every run of a pool. `race` subsumes it; this target exists
+# for fast iteration on concurrency changes.
 race-service:
-	$(GO) test -race ./internal/service/... ./internal/protocol/...
+	$(GO) test -race ./internal/service/... ./internal/protocol/... ./internal/sig/...
 
 # Doc-comment lint over the packages whose godoc is part of the repo's
 # contract: every exported top-level symbol must carry a doc comment.

@@ -474,12 +474,11 @@ type JobConfig struct {
 	// mirrors Config for the load-specific subset.)
 
 	// Seed drives key generation (first round only — later rounds hit the
-	// session keyring) and the synthetic dataset.
+	// session keyring).
 	Seed int64
-	// NBlocks and BlockSize set the dataset granularity; zero selects the
-	// protocol defaults.
-	NBlocks   int
-	BlockSize int
+	// NBlocks sets the block granularity of the load; zero selects the
+	// protocol default.
+	NBlocks int
 	// Behaviors assigns per-member strategies for this job.
 	Behaviors []agent.Behavior
 	// Faults and Retry configure the link layer for this job.
@@ -588,12 +587,12 @@ type BidSession struct {
 
 // NewBidSession creates a session over cfg's network class, bus rate,
 // initial member rates, fine policy and keyring. cfg.Behaviors, Seed,
-// NBlocks, BlockSize, Faults and Retry are per-job (JobConfig) and must be
+// NBlocks, Faults and Retry are per-job (JobConfig) and must be
 // zero here. A nil cfg.Keys gets a fresh keyring — the ring is what lets a
 // reuse round's fresh PKI registry verify envelopes signed rounds ago.
 func NewBidSession(cfg Config) (*BidSession, error) {
-	if cfg.Behaviors != nil || cfg.Faults != nil || cfg.NBlocks != 0 || cfg.BlockSize != 0 || cfg.Seed != 0 || (cfg.Retry != RetryPolicy{}) || cfg.Tracer != nil || cfg.LoadFrac != 0 || cfg.FailoverIn != "" {
-		return nil, errors.New("protocol: per-job fields (Behaviors, Seed, NBlocks, BlockSize, Faults, Retry, Tracer, LoadFrac, FailoverIn) belong in JobConfig, not the session Config")
+	if cfg.Behaviors != nil || cfg.Faults != nil || cfg.NBlocks != 0 || cfg.Seed != 0 || (cfg.Retry != RetryPolicy{}) || cfg.Tracer != nil || cfg.LoadFrac != 0 || cfg.FailoverIn != "" {
+		return nil, errors.New("protocol: per-job fields (Behaviors, Seed, NBlocks, Faults, Retry, Tracer, LoadFrac, FailoverIn) belong in JobConfig, not the session Config")
 	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -757,7 +756,6 @@ func (s *BidSession) roundConfig(job JobConfig) Config {
 		TrueW:      append([]float64(nil), s.trueW...),
 		Fine:       s.base.Fine,
 		NBlocks:    job.NBlocks,
-		BlockSize:  job.BlockSize,
 		Seed:       job.Seed,
 		Faults:     job.Faults,
 		Retry:      job.Retry,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"dlsbl/internal/agent"
@@ -99,7 +100,6 @@ func TestHotPathParityProperty(t *testing.T) {
 				job := JobConfig{
 					Seed:      rng.Int63n(1 << 30),
 					NBlocks:   32 * m,
-					BlockSize: 16,
 					Behaviors: append([]agent.Behavior(nil), behaviors...),
 				}
 				if rng.Intn(4) > 0 {
@@ -200,7 +200,7 @@ func TestIncrementalRebidRateChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job := JobConfig{Seed: 7, NBlocks: 96, BlockSize: 16}
+	job := JobConfig{Seed: 7, NBlocks: 96}
 
 	full, err := s.Run(job) // round 1: full exchange
 	if err != nil {
@@ -216,7 +216,7 @@ func TestIncrementalRebidRateChange(t *testing.T) {
 
 	w2 := append([]float64(nil), w...)
 	w2[2] = 1.25
-	independent, err := Run(Config{Network: dlt.NCPFE, Z: 0.2, TrueW: w2, Seed: 7, NBlocks: 96, BlockSize: 16})
+	independent, err := Run(Config{Network: dlt.NCPFE, Z: 0.2, TrueW: w2, Seed: 7, NBlocks: 96})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestIncrementalRebidJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job := JobConfig{Seed: 11, NBlocks: 64, BlockSize: 16}
+	job := JobConfig{Seed: 11, NBlocks: 64}
 	if _, err := s.Run(job); err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestIncrementalRebidJoin(t *testing.T) {
 	}
 	spliced := runSpliceRound(t, s, job)
 
-	independent, err := Run(Config{Network: dlt.NCPFE, Z: 0.2, TrueW: []float64{1, 1.5, 2, 2.5}, Seed: 11, NBlocks: 64, BlockSize: 16})
+	independent, err := Run(Config{Network: dlt.NCPFE, Z: 0.2, TrueW: []float64{1, 1.5, 2, 2.5}, Seed: 11, NBlocks: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestIncrementalRebidLeave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job := JobConfig{Seed: 13, NBlocks: 64, BlockSize: 16}
+	job := JobConfig{Seed: 13, NBlocks: 64}
 	if _, err := s.Run(job); err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestIncrementalRebidLeave(t *testing.T) {
 	spliced := runSpliceRound(t, s, job)
 
 	independent, err := Run(Config{
-		Network: dlt.NCPFE, Z: 0.2, TrueW: w, Seed: 13, NBlocks: 64, BlockSize: 16,
+		Network: dlt.NCPFE, Z: 0.2, TrueW: w, Seed: 13, NBlocks: 64,
 		Behaviors: []agent.Behavior{{}, {}, {Name: "departed", Abstain: true}},
 	})
 	if err != nil {
@@ -315,7 +315,7 @@ func TestSpliceFallsBackToFullRebid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job := JobConfig{Seed: 17, NBlocks: 64, BlockSize: 16}
+	job := JobConfig{Seed: 17, NBlocks: 64}
 	if _, err := s.Run(job); err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestSpliceFallsBackToFullRebid(t *testing.T) {
 	if err := s.AnnounceRate(1, 1.7); err != nil {
 		t.Fatal(err)
 	}
-	deviant := JobConfig{Seed: 19, NBlocks: 64, BlockSize: 16,
+	deviant := JobConfig{Seed: 19, NBlocks: 64,
 		Behaviors: []agent.Behavior{{}, agent.Equivocator}}
 	out, err = s.Run(deviant)
 	if err != nil {
@@ -370,7 +370,7 @@ func TestSessionMemoCollapsesVerification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job := JobConfig{Seed: 23, NBlocks: 64, BlockSize: 16}
+	job := JobConfig{Seed: 23, NBlocks: 64}
 	if _, err := s.Run(job); err != nil {
 		t.Fatal(err)
 	}
@@ -392,5 +392,61 @@ func TestSessionMemoCollapsesVerification(t *testing.T) {
 	// the cached-bid re-verifications have all collapsed into hits.
 	if d2, d3 := after2.Misses-after1.Misses, after3.Misses-after2.Misses; d3 > d2 {
 		t.Fatalf("reuse-round misses grew: %d then %d; cached bids are not memoized", d2, d3)
+	}
+}
+
+// TestParallelSealParity: a round signs its m bids and m payment vectors
+// (and pre-verifies them into the memo) across GOMAXPROCS workers. Ed25519
+// signing is deterministic, so nothing downstream — payments, fines,
+// verdicts, transcript hashes, traffic and memo counters — may depend on
+// how many workers ran. The same job stream (full bid, reuse, lossy bus,
+// rate splice, payment cheat and equivocator, bid equivocator) runs at
+// GOMAXPROCS 1 and 2 under both codecs.
+func TestParallelSealParity(t *testing.T) {
+	w := []float64{1, 1.5, 2, 2.5, 3}
+	jobs := []JobConfig{
+		{Seed: 5},
+		{Seed: 5},
+		{Seed: 6, Faults: &bus.FaultPlan{Seed: 3, Drop: 0.1, Duplicate: 0.1, Reorder: 0.1, Corrupt: 0.03}},
+		{Seed: 7}, // after a single rate change: the splice path
+		{Seed: 8, Behaviors: []agent.Behavior{{}, agent.PaymentCheat, {}, agent.PaymentLiar}},
+		{Seed: 9, Behaviors: []agent.Behavior{{}, {}, agent.Equivocator}},
+	}
+	stream := func(procs int, codec sig.Codec) ([]*Outcome, sig.MemoStats) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		memo := sig.NewVerifyMemo()
+		s, err := NewBidSession(Config{Network: dlt.NCPFE, Z: 0.2, TrueW: w, Codec: codec, Memo: memo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var outs []*Outcome
+		for j, job := range jobs {
+			if j == 3 {
+				if err := s.AnnounceRate(1, 1.7); err != nil {
+					t.Fatal(err)
+				}
+			}
+			out, err := s.Run(job)
+			if err != nil {
+				t.Fatalf("GOMAXPROCS=%d job %d: %v", procs, j, err)
+			}
+			outs = append(outs, out)
+		}
+		return outs, memo.Stats()
+	}
+	for _, codec := range []sig.Codec{sig.CodecJSON, sig.CodecBinary} {
+		one, memo1 := stream(1, codec)
+		two, memo2 := stream(2, codec)
+		for j := range one {
+			if !reflect.DeepEqual(one[j], two[j]) {
+				t.Fatalf("%v job %d: outcome at GOMAXPROCS=2 diverges from GOMAXPROCS=1\n 1: %+v\n 2: %+v", codec, j, one[j], two[j])
+			}
+		}
+		if memo1 != memo2 {
+			t.Fatalf("%v: memo counters diverge: GOMAXPROCS=1 %+v, GOMAXPROCS=2 %+v", codec, memo1, memo2)
+		}
+		if !one[3].BidSpliced || one[len(one)-1].Completed {
+			t.Fatalf("%v: stream did not exercise the splice and terminating paths", codec)
+		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 // TestWarmKeyringBitIdenticalEconomics: running with a warm keyring must
 // not perturb a single economic quantity. Payments, fines, allocations
-// and utilities depend only on bids, meters and the seeded dataset —
+// and utilities depend only on bids, meters and the block partition —
 // never on key bytes — so a cached keypair changes cost, not outcome.
 func TestWarmKeyringBitIdenticalEconomics(t *testing.T) {
 	base := Config{Network: dlt.NCPFE, Z: 0.25, TrueW: []float64{1, 1.5, 2, 2.5, 3}}

@@ -35,14 +35,16 @@ func (r *run) bidExchange() (received [][]bus.Message, firstEnvs []sig.Envelope,
 		primary bool // the sender's first (agreed) bid
 	}
 	var msgs []logical
-	firstEnvs = make([]sig.Envelope, r.m)
 	primaryNonces = make([]uint64, r.m)
+	bids := make([]any, r.m)
 	for i, a := range r.agents {
-		env, err := r.seal(a.Key, referee.KindBid, referee.BidPayload{Proc: a.ID, Bid: a.Bid(), Round: r.roundID})
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		firstEnvs[i] = env
+		bids[i] = referee.BidPayload{Proc: a.ID, Bid: a.Bid(), Round: r.roundID}
+	}
+	if firstEnvs, err = r.sealEach(referee.KindBid, bids); err != nil {
+		return nil, nil, nil, nil, err
+	}
+	for i, a := range r.agents {
+		env := firstEnvs[i]
 		nonce, err := r.net.BroadcastTagged(a.ID, referee.KindBid, env, 1, 0)
 		if err != nil {
 			return nil, nil, nil, nil, err
@@ -1006,12 +1008,16 @@ func (r *run) phasePayments() error {
 	}
 
 	subs := make(map[string][]sig.Envelope, r.m)
+	vectors := make([]any, r.m)
 	for i, a := range r.agents {
-		q := a.PaymentVector(out.Payment, i)
-		env, err := r.seal(a.Key, referee.KindPayment, referee.PaymentPayload{Proc: a.ID, Q: q, Round: r.roundID})
-		if err != nil {
-			return err
-		}
+		vectors[i] = referee.PaymentPayload{Proc: a.ID, Q: a.PaymentVector(out.Payment, i), Round: r.roundID}
+	}
+	envs, err := r.sealEach(referee.KindPayment, vectors)
+	if err != nil {
+		return err
+	}
+	for i, a := range r.agents {
+		env := envs[i]
 		if _, err := r.xp.sendReliable(a.ID, r.refAddr, referee.KindPayment, env, r.m); err != nil {
 			return err
 		}
@@ -1020,7 +1026,7 @@ func (r *run) phasePayments() error {
 		r.evidence(a.ID, referee.KindPayment)
 		subs[a.ID] = []sig.Envelope{env}
 		if a.Behavior.EquivocatePayments {
-			q2 := append([]float64(nil), q...)
+			q2 := a.PaymentVector(out.Payment, i)
 			q2[i] += 1
 			env2, err := r.seal(a.Key, referee.KindPayment, referee.PaymentPayload{Proc: a.ID, Q: q2, Round: r.roundID})
 			if err != nil {

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"dlsbl/internal/agent"
@@ -52,11 +51,10 @@ type Config struct {
 	// Fine is the publicly known fine magnitude F. Zero selects
 	// referee.SuggestedFine over the bids.
 	Fine float64
-	// NBlocks is the dataset granularity; zero selects 64·m blocks.
+	// NBlocks is the number of equal-sized blocks the load is divided
+	// into for allocation; zero selects 64·m blocks.
 	NBlocks int
-	// BlockSize is the block payload size in bytes; zero selects 32.
-	BlockSize int
-	// Seed drives key generation and the synthetic dataset.
+	// Seed drives key generation.
 	Seed int64
 	// Faults, when non-nil, replaces the paper's reliable atomic-broadcast
 	// bus with a seeded adversarial link layer (drops, duplicates, delays,
@@ -163,8 +161,8 @@ func (c *Config) validate() error {
 	if c.Fine < 0 || math.IsNaN(c.Fine) || math.IsInf(c.Fine, 0) {
 		return fmt.Errorf("protocol: invalid fine %v", c.Fine)
 	}
-	if c.NBlocks < 0 || c.BlockSize < 0 {
-		return errors.New("protocol: negative dataset parameters")
+	if c.NBlocks < 0 {
+		return errors.New("protocol: negative block count")
 	}
 	if err := c.Faults.Validate(); err != nil {
 		return err
@@ -331,8 +329,6 @@ type run struct {
 	standby    *referee.Standby
 	standbyKey *sig.KeyPair
 	failedOver bool
-	userKey    *sig.KeyPair
-	dataset    *workload.Dataset
 	mech       core.Mechanism
 	// engine is the O(m) payment engine behind the Computing Payments
 	// phase; payOut is its reused scratch Outcome, so repeated protocol
@@ -381,6 +377,28 @@ func (r *run) epochOf(i int) string {
 // seal signs v under the run's configured payload codec.
 func (r *run) seal(k *sig.KeyPair, kind string, v any) (sig.Envelope, error) {
 	return sig.SealCodec(k, kind, v, r.cfg.Codec)
+}
+
+// sealEach signs payloads[i] under agent i's key for every agent, the m
+// independent signatures in parallel (sig.SealEach). When the run
+// memoizes verification it then verifies the fresh envelopes as one
+// batch — the same pre-pass checkCachedBids runs over cached bids — so
+// the serial arrival checks in the transport's pull become memo hits.
+// The pre-pass only warms the memo: a failure is not memoized and is
+// left for the receiver to discard, exactly as without it.
+func (r *run) sealEach(kind string, payloads []any) ([]sig.Envelope, error) {
+	keys := make([]*sig.KeyPair, r.m)
+	for i, a := range r.agents {
+		keys[i] = a.Key
+	}
+	envs, err := sig.SealEach(keys, kind, payloads, r.cfg.Codec)
+	if err != nil {
+		return nil, err
+	}
+	if r.ver != nil && r.ver.Memo().Enabled() {
+		r.ver.VerifyEach(envs)
+	}
+	return envs, nil
 }
 
 // open verifies an envelope (through the batch verifier when the run has
@@ -580,10 +598,6 @@ func setup(cfg Config) (*run, error) {
 	if r.nBlocks == 0 {
 		r.nBlocks = 64 * m
 	}
-	blockSize := cfg.BlockSize
-	if blockSize == 0 {
-		blockSize = 32
-	}
 
 	// Identities, keys, PKI. Participants keep their configured names.
 	for _, orig := range part {
@@ -616,10 +630,12 @@ func setup(cfg Config) (*run, error) {
 		}
 		return k, nil
 	}
-	var err error
-	if r.userKey, err = newKey(UserID); err != nil {
+	// The user signs nothing, but its identity keeps its place in the
+	// key sequence, so every later identity's key is unchanged.
+	if _, err := newKey(UserID); err != nil {
 		return nil, err
 	}
+	var err error
 	if r.refKey, err = newKey(referee.Account); err != nil {
 		return nil, err
 	}
@@ -649,7 +665,7 @@ func setup(cfg Config) (*run, error) {
 
 	r.initialPart = append([]int(nil), part...)
 
-	// Bus (reliable or fault-injected), transport, ledger, dataset.
+	// Bus (reliable or fault-injected), transport, ledger.
 	// A typo'd Unresponsive name would otherwise be silently inert.
 	if cfg.Faults != nil {
 		known := make(map[string]bool, len(r.procs))
@@ -693,15 +709,6 @@ func setup(cfg Config) (*run, error) {
 	}
 	accounts := append([]string{UserID, referee.Account}, r.procs...)
 	if r.ledger, err = payment.NewLedger(accounts...); err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	data := workload.SyntheticData(rng, r.nBlocks*blockSize)
-	// Lazy preparation: chunking and identification happen now, the ~8·m
-	// per-block user signatures only when a block's integrity is actually
-	// contested (Dataset.Seal / Verify). Sealing is deterministic, so a
-	// contested round's dataset is bit-identical to an eager one's.
-	if r.dataset, err = workload.PrepareLazy(r.userKey, data, blockSize); err != nil {
 		return nil, err
 	}
 	return r, nil

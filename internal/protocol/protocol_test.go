@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"dlsbl/internal/agent"
@@ -85,7 +86,7 @@ func TestHonestRunCompletes(t *testing.T) {
 		if relErr(out.Makespan, ms) > tol {
 			t.Errorf("%v: realized makespan %v, want %v", net, out.Makespan, ms)
 		}
-		// Assignments cover the dataset.
+		// Assignments cover every block.
 		total := 0
 		for _, a := range out.Assignments {
 			total += a.Count()
@@ -455,6 +456,29 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("case %d: invalid config accepted: %+v", i, cfg)
 		}
+	}
+}
+
+// TestHugeBlockCountStaysCheap is the regression test for the block-count
+// probe: the block count only feeds the allocation's integer partition,
+// so a round over two million blocks costs what a round over 256 does —
+// no per-block data, identifiers or signatures are ever materialized.
+func TestHugeBlockCountStaysCheap(t *testing.T) {
+	cfg := honestConfig(dlt.NCPFE)
+	cfg.NBlocks = 2_000_000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	out, err := Run(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Completed {
+		t.Fatal("round over 2M blocks did not complete")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("round over 2M blocks allocated %d bytes, want < 1 MiB", alloc)
 	}
 }
 

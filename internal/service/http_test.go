@@ -169,7 +169,7 @@ func TestHTTPStatusCodes(t *testing.T) {
 }
 
 // TestHTTPRejectsOutOfRangeSpecs: a pool whose rates or fine could never
-// run a round, and a job with a negative dataset field, answer 400 at
+// run a round, and a job with a negative z or block count, answer 400 at
 // creation or admission instead of failing later.
 func TestHTTPRejectsOutOfRangeSpecs(t *testing.T) {
 	srv := New(Config{})
@@ -185,7 +185,6 @@ func TestHTTPRejectsOutOfRangeSpecs(t *testing.T) {
 		{"/v1/pools", `{"name":"bad","w":[1,2],"fine":-5}`},
 		{"/v1/jobs", `{"pool":"p","jobs":[{"z":-0.2,"seed":1}]}`},
 		{"/v1/jobs", `{"pool":"p","jobs":[{"z":0.2,"seed":1,"nblocks":-4}]}`},
-		{"/v1/jobs", `{"pool":"p","jobs":[{"z":0.2,"seed":1,"blocksize":-8}]}`},
 	} {
 		resp := postJSON(t, ts.URL+tc.path, tc.body)
 		resp.Body.Close()

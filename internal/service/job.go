@@ -20,12 +20,10 @@ import (
 type JobSpec struct {
 	// Z is the per-unit communication time of this job's bus session.
 	Z float64 `json:"z"`
-	// Seed drives key generation (cold pools only) and the synthetic
-	// dataset.
+	// Seed drives key generation (cold pools only).
 	Seed int64 `json:"seed"`
-	// NBlocks and BlockSize set the dataset granularity (0 = defaults).
-	NBlocks   int `json:"nblocks,omitempty"`
-	BlockSize int `json:"blocksize,omitempty"`
+	// NBlocks sets the block granularity of the load (0 = default).
+	NBlocks int `json:"nblocks,omitempty"`
 	// Behaviors names each processor's strategy for this round (see
 	// agent.Catalog; "" or a short list defaults to honest).
 	Behaviors []string `json:"behaviors,omitempty"`
@@ -41,22 +39,21 @@ type JobSpec struct {
 	InstallmentPolicy string `json:"installment_policy,omitempty"`
 }
 
-// toJob resolves the spec into a session job, rejecting negative or
-// non-finite dataset parameters and unknown behavior names, so a job that
-// could never run fails admission instead of its round.
+// toJob resolves the spec into a session job, rejecting a negative or
+// non-finite z, a negative block count and unknown behavior names, so a
+// job that could never run fails admission instead of its round.
 func (spec JobSpec) toJob() (session.Job, error) {
 	if !(spec.Z >= 0) || math.IsInf(spec.Z, 0) {
 		return session.Job{}, fmt.Errorf("z must be finite and >= 0, got %v", spec.Z)
 	}
-	if spec.NBlocks < 0 || spec.BlockSize < 0 {
-		return session.Job{}, fmt.Errorf("nblocks and blocksize must be >= 0, got %d and %d", spec.NBlocks, spec.BlockSize)
+	if spec.NBlocks < 0 {
+		return session.Job{}, fmt.Errorf("nblocks must be >= 0, got %d", spec.NBlocks)
 	}
 	job := session.Job{
-		Z:         spec.Z,
-		Seed:      spec.Seed,
-		NBlocks:   spec.NBlocks,
-		BlockSize: spec.BlockSize,
-		Faults:    spec.Faults,
+		Z:       spec.Z,
+		Seed:    spec.Seed,
+		NBlocks: spec.NBlocks,
+		Faults:  spec.Faults,
 	}
 	if spec.Retry != nil {
 		job.Retry = *spec.Retry

@@ -211,9 +211,12 @@ type PoolSnapshot struct {
 	// Verified-envelope memo telemetry (the hot-path verification cache
 	// every pool carries): VerifyMemoHits counts Ed25519 verifications
 	// skipped because the envelope had already verified bit-identically;
-	// VerifyMemoSize is the current number of memoized digests.
-	VerifyMemoHits int64 `json:"verify_memo_hits,omitempty"`
-	VerifyMemoSize int   `json:"verify_memo_size,omitempty"`
+	// VerifyMemoMisses counts the lookups that fell through to a full
+	// verification; VerifyMemoSize is the current number of memoized
+	// digests (at most two generations of 4,096, see sig.VerifyMemo).
+	VerifyMemoHits   int64 `json:"verify_memo_hits,omitempty"`
+	VerifyMemoMisses int64 `json:"verify_memo_misses,omitempty"`
+	VerifyMemoSize   int   `json:"verify_memo_size,omitempty"`
 
 	// SentinelViolations lists the economic-invariant breaches the pool's
 	// sentinel has latched (oldest first); empty on a healthy pool. Any
@@ -265,6 +268,7 @@ func (p *Pool) Snapshot() PoolSnapshot {
 		InstallmentsInFlight: int(p.inFlight.Load()),
 		PackedJobs:           p.packedJobs,
 		VerifyMemoHits:       ms.Hits,
+		VerifyMemoMisses:     ms.Misses,
 		VerifyMemoSize:       ms.Size,
 		SentinelViolations:   p.sentinel.Violations(),
 		Traffic:              p.state.Traffic,

@@ -345,7 +345,6 @@ func TestAdmissionValidation(t *testing.T) {
 		{Z: -0.2, Seed: 1},
 		{Z: math.NaN(), Seed: 1},
 		{Z: 0.2, Seed: 1, NBlocks: -1},
-		{Z: 0.2, Seed: 1, BlockSize: -1},
 	} {
 		if _, err := srv.Submit("p", []JobSpec{{Z: 0.2, Seed: 2}, bad}, nil); err == nil {
 			t.Fatalf("job %+v admitted", bad)
@@ -537,6 +536,12 @@ func TestMultiloadPoolRebidsAfterBan(t *testing.T) {
 	}
 	if snap.VerifyMemoHits == 0 {
 		t.Errorf("verify_memo_hits = 0, want > 0 (reuse rounds should hit the pool memo)")
+	}
+	// Every memoized digest was stored after a miss, so misses bound the
+	// memo's size from above.
+	if snap.VerifyMemoMisses == 0 || snap.VerifyMemoMisses < int64(snap.VerifyMemoSize) {
+		t.Errorf("verify_memo_misses = %d with verify_memo_size = %d, want misses > 0 and >= size",
+			snap.VerifyMemoMisses, snap.VerifyMemoSize)
 	}
 	if got := snap.Banned; len(got) != 1 || got[0] != "P2" {
 		t.Errorf("banned = %v, want [P2]", got)

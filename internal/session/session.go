@@ -55,10 +55,9 @@ type Job struct {
 	Z         float64
 	Seed      int64
 	Behaviors []agent.Behavior
-	// NBlocks and BlockSize override the round's dataset granularity;
-	// zero selects the protocol defaults (64·m blocks of 32 bytes).
-	NBlocks   int
-	BlockSize int
+	// NBlocks overrides the round's block granularity; zero selects the
+	// protocol default (64·m blocks).
+	NBlocks int
 	// Faults, when non-nil, runs this round over an unreliable bus (see
 	// bus.FaultPlan); Retry bounds the round's retransmission machinery.
 	// A processor EVICTED for unreachability is not a deviant: it is not
@@ -247,7 +246,6 @@ func (s *Session) Step(st *State, job Job) (*protocol.Outcome, error) {
 			Behaviors:  behaviors,
 			Fine:       s.Fine,
 			NBlocks:    job.NBlocks,
-			BlockSize:  job.BlockSize,
 			Seed:       job.Seed,
 			Faults:     job.Faults,
 			Retry:      job.Retry,
@@ -317,7 +315,6 @@ func (s *Session) stepMultiload(st *State, job Job, behaviors []agent.Behavior) 
 	jc := protocol.JobConfig{
 		Seed:       job.Seed,
 		NBlocks:    job.NBlocks,
-		BlockSize:  job.BlockSize,
 		Behaviors:  behaviors,
 		Faults:     job.Faults,
 		Retry:      job.Retry,

@@ -1,18 +1,20 @@
-// Batch signature verification and the verified-envelope memo.
+// Batch signing and verification, and the verified-envelope memo.
 //
-// Ed25519 verification is the protocol's dominant per-round cost once
-// keys are warm: every transport delivery, every cached bid and every
-// referee re-open pays ~70µs. Two observations make most of it
-// avoidable. First, Ed25519 verification is deterministic — for a fixed
-// (public key, message, signature) triple the answer never changes — so
-// a digest over exactly that triple memoizes the decision soundly: a
-// memo hit is possible only for a byte-identical envelope that already
-// verified under the same registered key, and any byte change (payload,
-// signature, sender, kind, or a re-registered key) changes the digest
-// and falls back to a full verification. Convictability is unchanged:
-// nothing unverified is ever accepted. Second, independent envelopes
-// verify independently, so a whole bid profile can fan out across
-// GOMAXPROCS workers.
+// Ed25519 is the protocol's dominant per-round cost once keys are warm:
+// every processor signs its bid and its payment vector, and every
+// transport delivery, every cached bid and every referee re-open pays a
+// verification. Two observations make most of it cheap. First, Ed25519
+// verification is deterministic — for a fixed (public key, message,
+// signature) triple the answer never changes — so a digest over exactly
+// that triple memoizes the decision soundly: a memo hit is possible only
+// for a byte-identical envelope that already verified under the same
+// registered key, and any byte change (payload, signature, sender, kind,
+// or a re-registered key) changes the digest and falls back to a full
+// verification. Convictability is unchanged: nothing unverified is ever
+// accepted. Second, the m envelopes of one phase are signed and verified
+// independently, so SealEach and VerifyEach fan them out across
+// GOMAXPROCS workers through one shared loop (fanOut). Ed25519 signing is
+// deterministic too, so the fan-out changes no byte of any envelope.
 package sig
 
 import (
@@ -24,11 +26,13 @@ import (
 	"sync/atomic"
 )
 
-// memoDefaultCap bounds the memo; at 64 bytes of key material per entry
-// this is ~4MB worst case. A full memo resets rather than evicts — the
-// next round simply re-verifies and re-warms, trading a rare latency
-// blip for O(1) bookkeeping.
-const memoDefaultCap = 1 << 16
+// memoGeneration is the capacity of each of the memo's two generations.
+// Digests hit once per generation (a pool's cached bids, re-verified every
+// round) are carried forward indefinitely; single-use digests (each
+// round's fresh payment vectors) age out after at most two generations,
+// so the memo's footprint is bounded by 2·memoGeneration entries and the
+// maps' storage is recycled instead of reallocated.
+const memoGeneration = 1 << 12
 
 // VerifyMemo remembers content digests of envelopes that have already
 // passed Ed25519 verification. It is safe for concurrent use and is
@@ -37,18 +41,25 @@ const memoDefaultCap = 1 << 16
 // never memoized (a corrupted copy must keep failing, and an envelope
 // that later verifies under a different registry entry has a different
 // digest anyway).
+//
+// Digests live in two generations: a lookup checks the current one, then
+// the previous one, moving a previous-generation hit into the current
+// one; when the current generation fills up it becomes the previous one
+// and an empty current generation starts.
 type VerifyMemo struct {
-	mu   sync.RWMutex
-	set  map[[sha256.Size]byte]struct{}
-	cap  int
-	off  bool
-	hits atomic.Int64
-	miss atomic.Int64
+	mu        sync.Mutex
+	cur, prev map[[sha256.Size]byte]struct{}
+	off       bool
+	hits      atomic.Int64
+	miss      atomic.Int64
 }
 
-// NewVerifyMemo returns an empty memo with the default capacity bound.
+// NewVerifyMemo returns an empty memo.
 func NewVerifyMemo() *VerifyMemo {
-	return &VerifyMemo{set: make(map[[sha256.Size]byte]struct{}), cap: memoDefaultCap}
+	return &VerifyMemo{
+		cur:  make(map[[sha256.Size]byte]struct{}),
+		prev: make(map[[sha256.Size]byte]struct{}),
+	}
 }
 
 // DisabledVerifyMemo returns a memo that never stores or hits — the
@@ -67,10 +78,17 @@ func (m *VerifyMemo) enabled() bool { return m != nil && !m.off }
 func (m *VerifyMemo) Enabled() bool { return m.enabled() }
 
 // contains reports whether the digest is memoized, counting the outcome.
+// A hit in the previous generation moves the digest into the current one.
 func (m *VerifyMemo) contains(d [sha256.Size]byte) bool {
-	m.mu.RLock()
-	_, ok := m.set[d]
-	m.mu.RUnlock()
+	m.mu.Lock()
+	_, ok := m.cur[d]
+	if !ok {
+		if _, ok = m.prev[d]; ok {
+			delete(m.prev, d)
+			m.put(d)
+		}
+	}
+	m.mu.Unlock()
 	if ok {
 		m.hits.Add(1)
 	} else {
@@ -79,15 +97,26 @@ func (m *VerifyMemo) contains(d [sha256.Size]byte) bool {
 	return ok
 }
 
-// store memoizes a digest that just verified, resetting the map at the
-// capacity bound.
+// store memoizes a digest that just verified.
 func (m *VerifyMemo) store(d [sha256.Size]byte) {
 	m.mu.Lock()
-	if len(m.set) >= m.cap {
-		m.set = make(map[[sha256.Size]byte]struct{})
+	if _, ok := m.cur[d]; !ok {
+		delete(m.prev, d)
+		m.put(d)
 	}
-	m.set[d] = struct{}{}
 	m.mu.Unlock()
+}
+
+// put adds d to the current generation, rotating first when it is full:
+// the previous generation is emptied and becomes the new current one, so
+// the two maps' storage is reused rather than reallocated. The caller
+// holds mu.
+func (m *VerifyMemo) put(d [sha256.Size]byte) {
+	if len(m.cur) >= memoGeneration {
+		clear(m.prev)
+		m.cur, m.prev = m.prev, m.cur
+	}
+	m.cur[d] = struct{}{}
 }
 
 // MemoStats are a memo's cumulative counters.
@@ -97,7 +126,8 @@ type MemoStats struct {
 	// Misses counts digest lookups that fell through to full
 	// verification.
 	Misses int64
-	// Size is the current number of memoized digests.
+	// Size is the current number of memoized digests, at most
+	// 2·4,096 (two generations).
 	Size int
 }
 
@@ -107,9 +137,9 @@ func (m *VerifyMemo) Stats() MemoStats {
 	if m == nil {
 		return MemoStats{}
 	}
-	m.mu.RLock()
-	n := len(m.set)
-	m.mu.RUnlock()
+	m.mu.Lock()
+	n := len(m.cur) + len(m.prev)
+	m.mu.Unlock()
 	return MemoStats{Hits: m.hits.Load(), Misses: m.miss.Load(), Size: n}
 }
 
@@ -140,14 +170,11 @@ type BatchStats struct {
 
 // BatchVerifier verifies envelopes against one registry, consulting a
 // VerifyMemo first and fanning independent verifications out across
-// workers. It is NOT safe for concurrent use — each protocol run owns
-// one — but the memo it consults may be shared across runs.
+// GOMAXPROCS workers. It is NOT safe for concurrent use — each protocol
+// run owns one — but the memo it consults may be shared across runs.
 type BatchVerifier struct {
-	reg  *Registry
-	memo *VerifyMemo
-	// Workers bounds the verification fan-out; 0 selects GOMAXPROCS.
-	Workers int
-
+	reg   *Registry
+	memo  *VerifyMemo
 	stats BatchStats
 }
 
@@ -219,8 +246,8 @@ type batchJob struct {
 // VerifyEach verifies every envelope and returns the per-envelope
 // errors, index-aligned (nil entries verified). The memo pre-pass runs
 // serially — hit/miss counts are deterministic for a given input — and
-// only the misses fan out across Workers goroutines. Duplicate misses
-// within one call (bit-identical envelopes) verify once.
+// only the misses fan out (fanOut). Duplicate misses within one call
+// (bit-identical envelopes) verify once.
 func (b *BatchVerifier) VerifyEach(envs []Envelope) []error {
 	errs := make([]error, len(envs))
 	var pending []batchJob
@@ -254,36 +281,10 @@ func (b *BatchVerifier) VerifyEach(envs []Envelope) []error {
 	}
 	if len(pending) > 0 {
 		b.stats.Batches++
-		workers := b.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if workers > len(pending) {
-			workers = len(pending)
-		}
-		if workers <= 1 {
-			for _, j := range pending {
-				errs[j.idx] = verifyWithKey(j.pub, &envs[j.idx])
-			}
-		} else {
-			var wg sync.WaitGroup
-			next := atomic.Int64{}
-			wg.Add(workers)
-			for w := 0; w < workers; w++ {
-				go func() {
-					defer wg.Done()
-					for {
-						k := int(next.Add(1)) - 1
-						if k >= len(pending) {
-							return
-						}
-						j := pending[k]
-						errs[j.idx] = verifyWithKey(j.pub, &envs[j.idx])
-					}
-				}()
-			}
-			wg.Wait()
-		}
+		fanOut(len(pending), func(k int) {
+			j := pending[k]
+			errs[j.idx] = verifyWithKey(j.pub, &envs[j.idx])
+		})
 		// Serial post-pass: count, memoize successes, resolve deferrals.
 		for _, j := range pending {
 			if errs[j.idx] == nil {
@@ -324,4 +325,60 @@ func (b *BatchVerifier) VerifyAll(envs []Envelope) error {
 		}
 	}
 	return nil
+}
+
+// SealEach seals payloads[i] under keys[i] with SealCodec for every i,
+// fanning the independent signatures out across the same worker loop as
+// VerifyEach. Ed25519 signing is deterministic, so the envelopes are
+// byte-identical to serial SealCodec calls. They come back in index
+// order; on failure the error reported is the first in index order.
+func SealEach(keys []*KeyPair, kind string, payloads []any, c Codec) ([]Envelope, error) {
+	if len(keys) != len(payloads) {
+		return nil, fmt.Errorf("sig: SealEach got %d keys for %d payloads", len(keys), len(payloads))
+	}
+	envs := make([]Envelope, len(keys))
+	errs := make([]error, len(keys))
+	fanOut(len(keys), func(k int) {
+		envs[k], errs[k] = SealCodec(keys[k], kind, payloads[k], c)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return envs, nil
+}
+
+// fanOut calls fn(k) for every k in [0, n) across min(n, GOMAXPROCS)
+// goroutines that claim indices from a shared counter, running inline
+// when one worker suffices. fn must be safe to call concurrently for
+// distinct k; callers write results into index-aligned slices, so the
+// outcome does not depend on scheduling.
+func fanOut(n int, fn func(k int)) {
+	workers := runtime.GOMAXPROCS(0)
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for k := 0; k < n; k++ {
+			fn(k)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	var next atomic.Int64
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				k := int(next.Add(1)) - 1
+				if k >= n {
+					return
+				}
+				fn(k)
+			}
+		}()
+	}
+	wg.Wait()
 }

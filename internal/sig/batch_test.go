@@ -1,8 +1,14 @@
 package sig
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -159,7 +165,8 @@ func TestVerifyEach(t *testing.T) {
 }
 
 // TestVerifyEachWorkers pins that the worker fan-out returns the same
-// verdicts as the serial path for a larger profile.
+// verdicts as the inline path for a larger profile, across GOMAXPROCS
+// settings (one worker runs inline, more fan out).
 func TestVerifyEachWorkers(t *testing.T) {
 	reg := NewRegistry()
 	var envs []Envelope
@@ -171,19 +178,210 @@ func TestVerifyEachWorkers(t *testing.T) {
 	envs[7].Payload = append([]byte(nil), envs[7].Payload...)
 	envs[7].Payload[0] ^= 1
 
-	for _, workers := range []int{1, 4} {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
 		bv := NewBatchVerifier(reg, nil)
-		bv.Workers = workers
 		errs := bv.VerifyEach(envs)
 		for i, err := range errs {
 			if i == 7 {
 				if !errors.Is(err, ErrBadSignature) {
-					t.Errorf("workers=%d envs[7]: %v, want ErrBadSignature", workers, err)
+					t.Errorf("GOMAXPROCS=%d envs[7]: %v, want ErrBadSignature", procs, err)
 				}
 			} else if err != nil {
-				t.Errorf("workers=%d envs[%d]: %v", workers, i, err)
+				t.Errorf("GOMAXPROCS=%d envs[%d]: %v", procs, i, err)
 			}
 		}
+	}
+}
+
+// TestSealEachMatchesSerial: the parallel batch seal yields exactly the
+// bytes serial SealCodec calls do, in index order, under both codecs and
+// whether the fan-out runs inline or across workers.
+func TestSealEachMatchesSerial(t *testing.T) {
+	const n = 9
+	keys := make([]*KeyPair, n)
+	payloads := make([]any, n)
+	for i := range keys {
+		k, err := GenerateKeyPair(fmt.Sprintf("P%d", i+1), DeterministicSource(int64(i+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[i] = k
+		payloads[i] = binPayload{Name: k.ID, X: float64(i) + 0.5, Xs: []float64{1, float64(i)}}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, codec := range []Codec{CodecJSON, CodecBinary} {
+		want := make([]Envelope, n)
+		for i := range keys {
+			env, err := SealCodec(keys[i], "dls/payment", payloads[i], codec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = env
+		}
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			got, err := SealEach(keys, "dls/payment", payloads, codec)
+			if err != nil {
+				t.Fatalf("%v GOMAXPROCS=%d: %v", codec, procs, err)
+			}
+			if len(got) != n {
+				t.Fatalf("%v GOMAXPROCS=%d: %d envelopes, want %d", codec, procs, len(got), n)
+			}
+			for i := range got {
+				if !got[i].Equal(want[i]) || string(got[i].Signature) != string(want[i].Signature) {
+					t.Errorf("%v GOMAXPROCS=%d: envelope %d differs from serial SealCodec", codec, procs, i)
+				}
+			}
+		}
+	}
+}
+
+// TestSealEachFirstError: a failing entry fails the whole batch, and with
+// several failures the one reported is the first in index order,
+// regardless of which worker finished first.
+func TestSealEachFirstError(t *testing.T) {
+	keys := make([]*KeyPair, 6)
+	payloads := make([]any, len(keys))
+	for i := range keys {
+		k, err := GenerateKeyPair(fmt.Sprintf("P%d", i+1), DeterministicSource(int64(i+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[i] = k
+		payloads[i] = map[string]float64{"bid": float64(i)}
+	}
+	unmarshalable := map[string]float64{"bid": math.NaN()}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		// nil key at 2, unmarshalable payload at 4: the nil key wins.
+		k := append([]*KeyPair(nil), keys...)
+		p := append([]any(nil), payloads...)
+		k[2], p[4] = nil, unmarshalable
+		if _, err := SealEach(k, "dls/bid", p, CodecJSON); err == nil || !strings.Contains(err.Error(), "private key") {
+			t.Errorf("GOMAXPROCS=%d nil key first: err = %v, want the private-key error", procs, err)
+		}
+		// Swapped: the marshaling failure at 1 precedes the nil key at 5.
+		k = append([]*KeyPair(nil), keys...)
+		p = append([]any(nil), payloads...)
+		p[1], k[5] = unmarshalable, nil
+		if _, err := SealEach(k, "dls/bid", p, CodecJSON); err == nil || !strings.Contains(err.Error(), "marshaling") {
+			t.Errorf("GOMAXPROCS=%d marshal error first: err = %v, want the marshaling error", procs, err)
+		}
+	}
+	if _, err := SealEach(keys, "dls/bid", payloads[:3], CodecJSON); err == nil {
+		t.Error("SealEach accepted 6 keys for 3 payloads")
+	}
+}
+
+// fillerDigest is a distinct synthetic memo key for generation tests.
+func fillerDigest(i int) [sha256.Size]byte {
+	var d [sha256.Size]byte
+	binary.LittleEndian.PutUint64(d[:], uint64(i)+1)
+	d[31] = 0xF1
+	return d
+}
+
+// TestVerifyMemoGenerations pins the two-generation bound: an envelope
+// re-verified at least once per generation (a pool's cached bids) stays
+// memoized across many rotations, single-use digests (fresh payment
+// vectors) age out, and the memo never holds more than two generations.
+func TestVerifyMemoGenerations(t *testing.T) {
+	reg := NewRegistry()
+	_, hot := testEnv(t, reg, "P1", 1, `{"proc":"P1","bid":1.5}`)
+	memo := NewVerifyMemo()
+	bv := NewBatchVerifier(reg, memo)
+	if err := bv.Verify(&hot); err != nil {
+		t.Fatal(err)
+	}
+	const rotations = 20
+	filler := 0
+	for r := 0; r < 2*rotations; r++ {
+		// Half a generation of single-use digests between re-verifications.
+		for k := 0; k < memoGeneration/2; k++ {
+			memo.store(fillerDigest(filler))
+			filler++
+			if n := memo.Stats().Size; n > 2*memoGeneration {
+				t.Fatalf("memo holds %d digests, bound is %d", n, 2*memoGeneration)
+			}
+		}
+		if err := bv.Verify(&hot); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := bv.Stats(); st.Verified != 1 || st.MemoHits != 2*rotations {
+		t.Fatalf("hot envelope: stats = %+v, want 1 full verification and %d hits", st, 2*rotations)
+	}
+	if memo.contains(fillerDigest(0)) {
+		t.Error("first single-use digest survived 20 rotations")
+	}
+	if !memo.contains(fillerDigest(filler - 1)) {
+		t.Error("latest single-use digest was not memoized")
+	}
+
+	// A failed verification is never stored, through either entry point.
+	tampered := hot
+	tampered.Signature = append([]byte(nil), hot.Signature...)
+	tampered.Signature[0] ^= 1
+	before := memo.Stats().Size
+	for i := 0; i < 2; i++ {
+		if err := bv.Verify(&tampered); !errors.Is(err, ErrBadSignature) {
+			t.Fatalf("tampered Verify: %v, want ErrBadSignature", err)
+		}
+		if errs := bv.VerifyEach([]Envelope{tampered}); !errors.Is(errs[0], ErrBadSignature) {
+			t.Fatalf("tampered VerifyEach: %v, want ErrBadSignature", errs[0])
+		}
+	}
+	if after := memo.Stats().Size; after != before {
+		t.Errorf("memo grew from %d to %d on failed verifications", before, after)
+	}
+}
+
+// TestVerifyMemoConcurrent shares one memo between concurrent verifiers
+// (as a pool's runs and a run's fan-out do) while rotations happen: every
+// verdict stays right, and -race sees no unsynchronized access.
+func TestVerifyMemoConcurrent(t *testing.T) {
+	reg := NewRegistry()
+	var envs []Envelope
+	for i := 0; i < 8; i++ {
+		id := fmt.Sprintf("P%d", i+1)
+		_, env := testEnv(t, reg, id, int64(i+1), fmt.Sprintf(`{"proc":%q}`, id))
+		envs = append(envs, env)
+	}
+	bad := envs[3]
+	bad.Payload = append([]byte(nil), bad.Payload...)
+	bad.Payload[0] ^= 1
+	envs = append(envs, bad)
+
+	memo := NewVerifyMemo()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		g := g
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			bv := NewBatchVerifier(reg, memo)
+			for r := 0; r < 20; r++ {
+				for k := 0; k < memoGeneration/8; k++ {
+					memo.store(fillerDigest(g<<20 | r<<12 | k))
+				}
+				for i, err := range bv.VerifyEach(envs) {
+					if (i == len(envs)-1) != (err != nil) {
+						t.Errorf("goroutine %d round %d envs[%d]: %v", g, r, i, err)
+					}
+				}
+				if err := bv.Verify(&envs[r%8]); err != nil {
+					t.Errorf("goroutine %d round %d Verify: %v", g, r, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := memo.Stats().Size; n > 2*memoGeneration {
+		t.Errorf("memo holds %d digests, bound is %d", n, 2*memoGeneration)
 	}
 }
 
