@@ -83,6 +83,11 @@ type Behavior struct {
 	// EquivocatePayments submits two contradictory payment vectors.
 	EquivocatePayments bool
 
+	// WithholdPayment never submits its signed payment vector to the
+	// referee (offense (iii) by omission): every round or installment it
+	// withholds from is judged as "no payment vector submitted".
+	WithholdPayment bool
+
 	// TamperBidVectorEntry alters this processor's own bid inside the
 	// vector it submits to the referee during a claim (offense (iv)); the
 	// altered entry must be freshly signed, which is precisely the
@@ -124,7 +129,7 @@ func (b Behavior) Deviant() bool {
 	return n.Equivocate || n.FalseEquivocationReport || n.FrameRival ||
 		n.MisallocateExtraBlocks != 0 ||
 		n.RefuseMediation || n.TamperBlocks || n.FalseShortageClaim || n.FalseExcessClaim ||
-		n.WrongPaymentFactor != 1 || n.EquivocatePayments || n.TamperBidVectorEntry
+		n.WrongPaymentFactor != 1 || n.EquivocatePayments || n.WithholdPayment || n.TamperBidVectorEntry
 }
 
 // Canonical behaviors used by the experiments and examples.
@@ -145,6 +150,10 @@ var (
 	PaymentCheat  = Behavior{Name: "payment-cheat-2x", WrongPaymentFactor: 2}
 	PaymentLiar   = Behavior{Name: "payment-equivocator", EquivocatePayments: true}
 	VectorTamper  = Behavior{Name: "bid-vector-tamperer", TamperBidVectorEntry: true}
+	// PaymentWithholder is looked up by name only (Catalog, ByName); it
+	// is not in DeviantCatalog, so the compliance experiments' tables do
+	// not change.
+	PaymentWithholder = Behavior{Name: "payment-withholder", WithholdPayment: true}
 )
 
 // DeviantCatalog lists every finable behavior, used by the compliance
@@ -160,11 +169,12 @@ var DeviantCatalog = []Behavior{
 // service job API.
 func Catalog() map[string]Behavior {
 	out := map[string]Behavior{
-		Honest.Name:        Honest,
-		OverBid.Name:       OverBid,
-		UnderBid.Name:      UnderBid,
-		SlowExecution.Name: SlowExecution,
-		"abstain":          {Name: "abstain", Abstain: true},
+		Honest.Name:            Honest,
+		OverBid.Name:           OverBid,
+		UnderBid.Name:          UnderBid,
+		SlowExecution.Name:     SlowExecution,
+		"abstain":              {Name: "abstain", Abstain: true},
+		PaymentWithholder.Name: PaymentWithholder,
 	}
 	for _, b := range DeviantCatalog {
 		out[b.Name] = b

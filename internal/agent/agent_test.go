@@ -159,3 +159,18 @@ func TestCatalogNamesUnique(t *testing.T) {
 		seen[n] = true
 	}
 }
+
+// TestPaymentWithholderRegistryOnly: the withholder is selectable by name
+// and counts as a deviant, but stays out of DeviantCatalog so the
+// compliance experiments that sweep the catalog are unchanged.
+func TestPaymentWithholderRegistryOnly(t *testing.T) {
+	b, ok := ByName("payment-withholder")
+	if !ok || !b.WithholdPayment || !b.Deviant() {
+		t.Fatalf("ByName(payment-withholder) = %+v, %v", b, ok)
+	}
+	for _, d := range DeviantCatalog {
+		if d.WithholdPayment {
+			t.Fatalf("%s in DeviantCatalog withholds payments", d.Name)
+		}
+	}
+}

@@ -56,8 +56,12 @@ type sentinelRound struct {
 
 // sentinelMaxRounds bounds the per-round state a long-lived Sentinel
 // retains; older rounds are forgotten FIFO. Violations stay latched
-// regardless — only the working state is pruned.
-const sentinelMaxRounds = 4096
+// regardless — only the working state is pruned. A service pool's
+// sentinel sees one load at a time, and a pipelined load's installment
+// rounds (at most protocol.MaxInstallments = 64) all receive their
+// payment events when the load settles, so the window must hold one
+// whole load; 256 rounds hold four.
+const sentinelMaxRounds = 256
 
 // NewSentinel returns an empty Sentinel ready to attach to a run (via
 // Multi, next to whatever recorder the run already carries).

@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 
-	"dlsbl/internal/agent"
 	"dlsbl/internal/dlt"
 	"dlsbl/internal/obs"
 	"dlsbl/internal/protocol"
@@ -46,14 +45,18 @@ type Load struct {
 }
 
 // RunLoad serves one load over the session in ld.Rounds installment
-// sub-rounds and returns the aggregated outcome: summed money flows
-// (payments, fines, rewards, utilities, work cost, user cost), the
-// concatenated verdicts, the pipelined multi-round timeline, and the
-// per-installment outcomes under Outcome.Installments (each with its own
-// sub-round ID and independently verifiable transcript). A terminating
-// verdict in installment k stops the load there — the remaining
-// installments are never distributed, so a deviant risks the full fine F
-// for at most one installment's gain.
+// sub-rounds (protocol.LoadRound) and returns the aggregated outcome:
+// summed money flows (payments, fines, rewards, utilities, work cost,
+// user cost), the concatenated verdicts, the pipelined multi-round
+// timeline, and the per-installment outcomes under Outcome.Installments
+// (each with its own sub-round ID and independently verifiable
+// transcript). Every member signs its payment once for the whole load,
+// not once per installment. A terminating verdict in installment k stops
+// the load there — the remaining installments are never distributed, so
+// a deviant risks the full fine F for at most one installment's gain. A
+// processor that crashes mid-computation is dead for the rest of the
+// load: the survivors carry the remaining installments while the
+// completed ones stay credited.
 func RunLoad(s *protocol.BidSession, ld Load) (*protocol.Outcome, error) {
 	if s == nil {
 		return nil, errors.New("pipeline: nil bid session")
@@ -68,24 +71,22 @@ func RunLoad(s *protocol.BidSession, ld Load) (*protocol.Outcome, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: %w", err)
 	}
-	n := s.NextRound()
-	job := ld.Job
-	outs := make([]*protocol.Outcome, 0, ld.Rounds)
+	load, err := s.BeginLoad(ld.Rounds, ld.Policy)
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: %w", err)
+	}
 	for k, f := range fracs {
-		out, err := s.RunSub(job, n, k+1, ld.Rounds, f, ld.Policy)
+		ended, err := load.Serve(ld.Job, f)
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: installment %d/%d: %w", k+1, ld.Rounds, err)
 		}
-		outs = append(outs, out)
-		if !out.Completed {
+		if ended {
 			break
 		}
-		// Checkpointed crash recovery across installments: a processor that
-		// crashed mid-computation is dead for the rest of the load — the
-		// survivors carry the remaining installments while the completed
-		// ones (already metered and paid via the telescoping sub-round
-		// payments) stay credited.
-		job = dropCrashed(job, out)
+	}
+	outs, err := load.Settle()
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: settling payments: %w", err)
 	}
 	agg, err := aggregate(outs, ld.Policy)
 	if err != nil {
@@ -105,42 +106,6 @@ func RunLoad(s *protocol.BidSession, ld Load) (*protocol.Outcome, error) {
 		})
 	}
 	return agg, nil
-}
-
-// dropCrashed returns the job the NEXT installment should run: processors
-// the given installment evicted during Processing Load become abstainers
-// (they cannot bid, receive load, or be paid again), and their crash
-// specs leave the fault plan (a dead processor cannot crash twice, and
-// the sub-round's setup rejects plans naming non-participants).
-func dropCrashed(job protocol.JobConfig, out *protocol.Outcome) protocol.JobConfig {
-	crashed := make(map[string]bool)
-	for _, ev := range out.Evictions {
-		if ev.Phase == obs.PhaseProcessing {
-			crashed[ev.Proc] = true
-		}
-	}
-	if len(crashed) == 0 {
-		return job
-	}
-	behaviors := make([]agent.Behavior, len(out.Procs))
-	copy(behaviors, job.Behaviors)
-	for i, p := range out.Procs {
-		if crashed[p] {
-			behaviors[i] = agent.Behavior{Name: "crashed", Abstain: true}
-		}
-	}
-	job.Behaviors = behaviors
-	if job.Faults != nil && len(job.Faults.Crashes) > 0 {
-		plan := *job.Faults
-		plan.Crashes = nil
-		for _, c := range job.Faults.Crashes {
-			if !crashed[c.Proc] {
-				plan.Crashes = append(plan.Crashes, c)
-			}
-		}
-		job.Faults = &plan
-	}
-	return job
 }
 
 // aggregate folds per-installment outcomes into one load-level outcome.

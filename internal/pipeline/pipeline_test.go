@@ -222,3 +222,126 @@ func TestRunLoadSentinelTelescoping(t *testing.T) {
 		}
 	}
 }
+
+// TestRunLoadPaymentWithholder: a member that withholds its signed load
+// payment is convicted and fined in every installment the load settles,
+// while the honest members are paid exactly what an all-honest load pays
+// them (Lemma 5.2: fines land only on deviants) and the economic sentinel
+// stays clear.
+func TestRunLoadPaymentWithholder(t *testing.T) {
+	w := []float64{3, 2, 4, 5}
+	const rounds = 4
+	job := protocol.JobConfig{Seed: 11, NBlocks: 64}
+	honest := newSession(t, w...)
+	if _, err := honest.Run(job); err != nil {
+		t.Fatal(err)
+	}
+	base, err := RunLoad(honest, Load{Job: job, Rounds: rounds, Policy: dlt.GeometricRounds})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s := newSession(t, w...)
+	if _, err := s.Run(job); err != nil {
+		t.Fatal(err)
+	}
+	sentinel := obs.NewSentinel()
+	job.Tracer = sentinel
+	job.Behaviors = []agent.Behavior{{}, agent.PaymentWithholder}
+	agg, err := RunLoad(s, Load{Job: job, Rounds: rounds, Policy: dlt.GeometricRounds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !agg.Completed || len(agg.Installments) != rounds {
+		t.Fatalf("completed=%v with %d installments", agg.Completed, len(agg.Installments))
+	}
+	for k, inst := range agg.Installments {
+		v := inst.Verdicts[len(inst.Verdicts)-1]
+		if len(v.Guilty) != 1 || v.Guilty[0] != "P2" || v.Reason != "P2: no payment vector submitted" {
+			t.Errorf("installment %d verdict %+v, want P2 convicted for withholding", k+1, v)
+		}
+		if inst.Fines[1] != inst.FineMagnitude {
+			t.Errorf("installment %d fined P2 %v, want F=%v", k+1, inst.Fines[1], inst.FineMagnitude)
+		}
+	}
+	for i := range w {
+		if agg.Payments[i] != base.Payments[i] {
+			t.Errorf("P%d paid %v, an all-honest load pays %v", i+1, agg.Payments[i], base.Payments[i])
+		}
+		if i != 1 && (agg.Fines[i] != 0 || agg.Rewards[i] <= 0) {
+			t.Errorf("honest P%d: fines %v, rewards %v", i+1, agg.Fines[i], agg.Rewards[i])
+		}
+	}
+	if !sentinel.Ok() {
+		t.Fatalf("sentinel latched: %q", sentinel.Violations())
+	}
+}
+
+// TestRunLoadFailoverAtPayments: the standby replicates each
+// installment's load binding, so a standby promoted at the start of
+// Computing Payments accepts the load's payment envelopes and convicts a
+// payment cheat exactly as the primary would — payments, fines and
+// verdicts match a load whose primary never failed.
+func TestRunLoadFailoverAtPayments(t *testing.T) {
+	w := []float64{3, 2, 4, 5}
+	run := func(failover string) *protocol.Outcome {
+		s, err := protocol.NewBidSession(protocol.Config{Network: dlt.NCPFE, Z: 0.2, TrueW: w, Standby: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		job := protocol.JobConfig{Seed: 5, NBlocks: 64}
+		if _, err := s.Run(job); err != nil {
+			t.Fatal(err)
+		}
+		job.Behaviors = []agent.Behavior{{}, {}, agent.PaymentCheat}
+		job.FailoverIn = failover
+		agg, err := RunLoad(s, Load{Job: job, Rounds: 3, Policy: dlt.GeometricRounds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return agg
+	}
+	want, got := run(""), run(obs.PhasePayments)
+	if !reflect.DeepEqual(got.Payments, want.Payments) || !reflect.DeepEqual(got.Fines, want.Fines) ||
+		!reflect.DeepEqual(got.Verdicts, want.Verdicts) {
+		t.Fatalf("failed-over load diverges:\npayments %v / %v\nfines %v / %v\nverdicts %+v / %+v",
+			got.Payments, want.Payments, got.Fines, want.Fines, got.Verdicts, want.Verdicts)
+	}
+	if got.Fines[2] != 3*got.FineMagnitude {
+		t.Errorf("cheat fined %v, want 3F", got.Fines[2])
+	}
+	for k, inst := range got.Installments {
+		failed := false
+		for _, e := range inst.Transcript {
+			failed = failed || e.Action == "failover"
+		}
+		if !failed {
+			t.Errorf("installment %d has no failover entry", k+1)
+		}
+	}
+}
+
+// TestRunLoadMaxInstallments: a load of protocol.MaxInstallments
+// installments settles in one envelope per member and its installment
+// invoices still telescope under a pool-lifetime sentinel, whose round
+// window must hold the whole load.
+func TestRunLoadMaxInstallments(t *testing.T) {
+	s := newSession(t, 3, 2, 4, 5)
+	sentinel := obs.NewSentinel()
+	job := protocol.JobConfig{Seed: 11, NBlocks: 64, Tracer: sentinel}
+	for i := 0; i < 3; i++ {
+		agg, err := RunLoad(s, Load{Job: job, Rounds: protocol.MaxInstallments, Policy: dlt.EqualRounds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !agg.Completed || len(agg.Installments) != protocol.MaxInstallments {
+			t.Fatalf("load %d: completed=%v with %d installments", i+1, agg.Completed, len(agg.Installments))
+		}
+	}
+	if !sentinel.Ok() {
+		t.Fatalf("sentinel latched: %q", sentinel.Violations())
+	}
+	if _, err := RunLoad(s, Load{Job: job, Rounds: protocol.MaxInstallments + 1}); err == nil {
+		t.Fatal("load above MaxInstallments accepted")
+	}
+}

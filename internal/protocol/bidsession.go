@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 
 	"dlsbl/internal/agent"
 	"dlsbl/internal/bus"
@@ -634,105 +635,76 @@ func sessionSalt(cfg Config) string {
 // round number.
 func (s *BidSession) Run(job JobConfig) (*Outcome, error) {
 	s.rounds++
-	return s.serve(job, RoundRef{Salt: s.salt, Round: s.rounds}, 1, 1, 1, 0)
+	out, _, err := s.serve(job, roundBinding{round: RoundRef{Salt: s.salt, Round: s.rounds}.String()}, 1)
+	return out, err
 }
 
-// NextRound reserves and returns the next session round number. The
-// pipelined scheduler (internal/pipeline) reserves a round up front and
-// serves it in installment sub-rounds via RunSub; plain Run reserves its
-// own round. A reserved round that is never served simply leaves a gap
-// in the numbering — round IDs only ever need to be distinct.
-func (s *BidSession) NextRound() int {
-	s.rounds++
-	return s.rounds
-}
-
-// RunSub serves installment k (1-based) of `of` sub-rounds of session
-// round n (from NextRound), carrying frac of the load divided under the
-// given policy. The sub-round is a full protocol round under the ID
-// "<salt>:rN.iK" — served from the cached bid set when the profile
-// allows, re-bidding otherwise, exactly like Run — with the money flow
-// scaled by frac (Config.LoadFrac) and the allocation/payment rule
-// switched to the installment class (dlt.PipelinedAllocation +
-// multi-round makespan terms). With of=1 the ID collapses to the plain
-// "<salt>:rN" and the round is byte-identical to a Run round, allocation
-// rule included.
-func (s *BidSession) RunSub(job JobConfig, n, k, of int, frac float64, policy dlt.RoundPolicy) (*Outcome, error) {
-	if n < 1 || n > s.rounds {
-		return nil, fmt.Errorf("protocol: sub-round of unreserved session round %d", n)
-	}
-	if k < 1 || of < 1 || k > of {
-		return nil, fmt.Errorf("protocol: installment %d of %d out of range", k, of)
-	}
-	if !(frac > 0) || frac > 1 {
-		return nil, fmt.Errorf("protocol: installment fraction %v outside (0,1]", frac)
-	}
-	rr := RoundRef{Salt: s.salt, Round: n}
-	if of > 1 {
-		rr.Installment = k
-	}
-	return s.serve(job, rr, k, of, frac, policy)
-}
-
-// serve executes one (sub-)round under the given round reference,
+// serve executes one (sub-)round under the given round binding,
 // deciding reuse vs incremental re-bid vs full exchange by bid-profile
-// comparison. frac scales the money flow; inst/instOf/policy mark the
-// installment for the referee's transcript and select the installment
-// allocation rule (1/1 for whole-load rounds, which skip both).
-func (s *BidSession) serve(job JobConfig, rr RoundRef, inst, instOf int, frac float64, policy dlt.RoundPolicy) (*Outcome, error) {
-	round := rr.String()
+// comparison. frac scales the money flow; an installment binding
+// (rb.instOf > 1) marks the installment for the referee's transcript,
+// selects the installment allocation rule and leaves the round pending
+// at Computing Payments (see executeRound).
+func (s *BidSession) serve(job JobConfig, rb roundBinding, frac float64) (*Outcome, *pendingRound, error) {
 	cfg := s.roundConfig(job)
 	cfg.LoadFrac = frac
 	prof := profileFor(cfg)
-	rb := roundBinding{round: round}
-	if instOf > 1 {
-		rb.inst, rb.instOf, rb.policy = inst, instOf, policy
-	}
 
 	if s.cache != nil && profilesEqual(prof, s.cacheProfile) && !profileFrames(prof) {
 		rb.epoch = s.cache.epoch
-		out, _, err := executeRound(cfg, rb, s.cache, nil)
+		out, p, _, err := executeRound(cfg, rb, s.cache, nil)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		s.sinceRebid++
 		s.saved.Messages += s.cache.bidding.Messages
 		s.saved.Deliveries += s.cache.bidding.Deliveries
 		s.saved.Units += s.cache.bidding.Units
-		return out, nil
+		return out, p, nil
 	}
 
 	// Single-member delta against the cached profile: try the incremental
 	// re-bid first. Any failure on the spliced path — an unreachable peer,
-	// a stale cache, a downstream phase error — falls back to the full
-	// exchange below; the aborted attempt built only per-round state, so
-	// nothing leaks into the retry (which reuses this round's ID).
+	// a stale cache, a downstream phase error up to the round's payments —
+	// falls back to the full exchange below; the aborted attempt built
+	// only per-round state, so nothing leaks into the retry (which reuses
+	// this round's ID).
 	if s.cache != nil {
 		if sp, ok := spliceDelta(s.cacheProfile, prof); ok {
 			rb.epoch = s.cache.epoch
-			out, spliced, err := executeRound(cfg, rb, s.cache, &sp)
+			out, p, spliced, err := executeRound(cfg, rb, s.cache, &sp)
 			if err == nil {
 				s.splices++
 				s.sinceRebid = 0
 				s.cache = spliced
 				s.cacheProfile = prof
-				return out, nil
+				return out, p, nil
 			}
 		}
 	}
 
-	rb.epoch = round
-	out, cache, err := executeRound(cfg, rb, nil, nil)
+	rb.epoch = rb.round
+	out, p, cache, err := executeRound(cfg, rb, nil, nil)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	s.rebids++
 	s.sinceRebid = 0
 	// Bidding-phase evictions permanently remove members; the captured
 	// cache (if any) already holds survivors only, so the profile it is
 	// filed under must mark the evicted absent too.
-	for i, ev := range out.Evicted {
-		if ev && i < len(s.gone) {
+	var evicted []int // config indices
+	if p != nil {
+		evicted = p.r.evictedCfg
+	} else {
+		for i, ev := range out.Evicted {
+			if ev {
+				evicted = append(evicted, i)
+			}
+		}
+	}
+	for _, i := range evicted {
+		if i < len(s.gone) {
 			s.gone[i] = true
 			prof[i] = bidProfile{}
 		}
@@ -744,7 +716,164 @@ func (s *BidSession) serve(job JobConfig, rr RoundRef, inst, instOf int, frac fl
 		s.cache = cache
 		s.cacheProfile = prof
 	}
-	return out, nil
+	return out, p, nil
+}
+
+// MaxInstallments bounds the installments of one pipelined load. A
+// load's installment sub-rounds stay pending — each holding its own bus,
+// referee and ledger — until the load settles, so the bound caps what
+// one load can hold in memory. Admission (internal/service) rejects
+// larger requests up front.
+const MaxInstallments = 64
+
+// LoadRound serves one pipelined load as installment sub-rounds
+// "<salt>:rN.iK" of a single session round and settles their payments
+// together: each member signs one LoadPaymentPayload covering every
+// pending installment instead of one payment vector per installment.
+// Each installment still keeps its own referee, transcript, verdicts,
+// fines and invoice, so its Outcome verifies on its own. Installments
+// are settled when the load ends, before an installment in which a
+// member is scheduled to crash (so it signs while alive), and whenever
+// the member set changes. Like the session, a LoadRound is not safe for
+// concurrent use.
+type LoadRound struct {
+	s       *BidSession
+	n, of   int
+	policy  dlt.RoundPolicy
+	outs    []*Outcome // one per served installment; nil while pending
+	pending []*pendingRound
+	// crashed holds the processors evicted mid-computation earlier in
+	// the load: dead for the rest of it.
+	crashed map[string]bool
+	ended   bool
+}
+
+// BeginLoad reserves the next session round for a load served in `of`
+// installments divided under policy.
+func (s *BidSession) BeginLoad(of int, policy dlt.RoundPolicy) (*LoadRound, error) {
+	if of < 1 || of > MaxInstallments {
+		return nil, fmt.Errorf("protocol: %d installments outside [1, %d]", of, MaxInstallments)
+	}
+	s.rounds++
+	return &LoadRound{s: s, n: s.rounds, of: of, policy: policy, crashed: make(map[string]bool)}, nil
+}
+
+// Serve runs the load's next installment carrying frac of the load —
+// served from the cached bid set when the profile allows, re-bidding
+// otherwise, exactly like Run — with the money flow scaled by frac and
+// the allocation/payment rule switched to the installment class. It
+// reports whether the load has ended: the last installment was served,
+// or a terminating verdict stopped this one (the remaining installments
+// are never distributed). A load of one installment is a plain Run round
+// under the ID "<salt>:rN". Call Settle once the load has ended.
+func (l *LoadRound) Serve(job JobConfig, frac float64) (bool, error) {
+	if l.ended {
+		return true, errors.New("protocol: load already ended")
+	}
+	if !(frac > 0) || frac > 1 {
+		return false, fmt.Errorf("protocol: installment fraction %v outside (0,1]", frac)
+	}
+	k := len(l.outs) + 1
+	job = l.withoutCrashed(job)
+	if len(job.Faults.CrashAt(k)) > 0 {
+		// A member that crashes in this installment signs the earlier
+		// installments' payments now, while it is alive.
+		if err := l.settle(); err != nil {
+			return false, err
+		}
+	}
+	rb := roundBinding{round: RoundRef{Salt: l.s.salt, Round: l.n}.String()}
+	if l.of > 1 {
+		rb.load = rb.round
+		rb.round = RoundRef{Salt: l.s.salt, Round: l.n, Installment: k}.String()
+		rb.inst, rb.instOf, rb.policy = k, l.of, l.policy
+	}
+	out, p, err := l.s.serve(job, rb, frac)
+	if err != nil {
+		return false, err
+	}
+	l.outs = append(l.outs, out)
+	l.ended = k == l.of || (out != nil && !out.Completed)
+	if p == nil {
+		return l.ended, nil
+	}
+	for _, ev := range p.r.outcome.Evictions {
+		if ev.Phase == obs.PhaseProcessing {
+			l.crashed[ev.Proc] = true
+		}
+	}
+	if len(l.pending) > 0 && !slices.Equal(l.pending[0].r.procs, p.r.procs) {
+		if err := l.settle(); err != nil {
+			return false, err
+		}
+	}
+	p.slot = k - 1
+	l.pending = append(l.pending, p)
+	return l.ended, nil
+}
+
+// Settle settles every pending installment and returns the outcomes of
+// the installments served so far, in order.
+func (l *LoadRound) Settle() ([]*Outcome, error) {
+	if err := l.settle(); err != nil {
+		return nil, err
+	}
+	return l.outs, nil
+}
+
+// settle seals one payment envelope per member over the pending
+// installments, submits it in each of them and finishes their outcomes.
+func (l *LoadRound) settle() error {
+	ps := l.pending
+	if len(ps) == 0 {
+		return nil
+	}
+	l.pending = nil
+	rs := make([]*run, len(ps))
+	for i, p := range ps {
+		rs[i] = p.r
+	}
+	if err := settlePayments(rs, true); err != nil {
+		return err
+	}
+	for _, p := range ps {
+		out, err := p.finish(nil)
+		if err != nil {
+			return err
+		}
+		l.outs[p.slot] = out
+	}
+	return nil
+}
+
+// withoutCrashed returns the job an installment runs once members have
+// crashed earlier in the load: they become abstainers (they cannot bid,
+// receive load, or be paid again), and their crash specs leave the fault
+// plan (a dead processor cannot crash twice, and setup rejects plans
+// naming non-participants). Completed installments keep them credited.
+func (l *LoadRound) withoutCrashed(job JobConfig) JobConfig {
+	if len(l.crashed) == 0 {
+		return job
+	}
+	behaviors := make([]agent.Behavior, len(l.s.trueW))
+	copy(behaviors, job.Behaviors)
+	for i := range behaviors {
+		if l.crashed[fmt.Sprintf("P%d", i+1)] {
+			behaviors[i] = agent.Behavior{Name: "crashed", Abstain: true}
+		}
+	}
+	job.Behaviors = behaviors
+	if job.Faults != nil && len(job.Faults.Crashes) > 0 {
+		plan := *job.Faults
+		plan.Crashes = nil
+		for _, c := range job.Faults.Crashes {
+			if !l.crashed[c.Proc] {
+				plan.Crashes = append(plan.Crashes, c)
+			}
+		}
+		job.Faults = &plan
+	}
+	return job
 }
 
 // roundConfig assembles the per-round protocol Config: session state plus

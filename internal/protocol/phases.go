@@ -963,12 +963,19 @@ func (r *run) phaseProcessing() error {
 }
 
 // ---- Phase: Computing Payments --------------------------------------------------
+//
+// The phase runs in two halves. preparePayments has every processor derive
+// the execution values from the broadcast meters and compute the payment
+// vector it will submit. settlePayments then seals one envelope per
+// processor over a run of prepared rounds and has each round submit it to
+// its own referee (submitPayments). A whole-load round settles right after
+// preparing, alone. An installment sub-round of a pipelined load stays
+// prepared until its load settles (LoadRound), so a member signs its
+// payment once per load instead of once per installment.
 
-// phasePayments has every processor derive the execution values from the
-// broadcast meters, compute the payment vector, and submit it signed to
-// the referee, which checks unanimity, fines deviants, and forwards Q to
-// the payment infrastructure.
-func (r *run) phasePayments() error {
+// preparePayments derives w̃, computes the payment rule and builds every
+// processor's payment vector.
+func (r *run) preparePayments() error {
 	r.xp.beginPhase()
 	if err := r.failover(obs.PhasePayments); err != nil {
 		return err
@@ -1000,46 +1007,126 @@ func (r *run) phasePayments() error {
 	} else if err := r.engine.RunInto(r.bids, derived, core.WithVerification, &r.payOut); err != nil {
 		return err
 	}
-	out := &r.payOut
-	if err := r.ref.CheckFineSufficient(out.Compensation); err != nil {
+	if err := r.ref.CheckFineSufficient(r.payOut.Compensation); err != nil {
 		// The configured fine violates F ≥ Σ α_j·w̃_j; surface it rather
 		// than continue with a toothless deterrent.
 		return fmt.Errorf("protocol: %w", err)
 	}
+	r.derived = derived
+	r.vectors = make([][]float64, r.m)
+	for i, a := range r.agents {
+		r.vectors[i] = a.PaymentVector(r.payOut.Payment, i)
+	}
+	return nil
+}
 
+// settlePayments seals each processor's payment submission over the
+// prepared rounds rs and submits it in every one of them, in order. rs
+// must share one participant list. A single whole-load round submits a
+// PaymentPayload bound to the round; installments of one load submit a
+// LoadPaymentPayload carrying one vector per installment, so the referee
+// of each installment verifies the same envelope (a memo hit after the
+// first). spans wraps each round's submission in its own Computing
+// Payments span; a whole-load round is already inside one.
+func settlePayments(rs []*run, spans bool) error {
+	var envs, seconds []sig.Envelope
+	for j, r := range rs {
+		if spans && r.tracer != nil {
+			r.tracer.BeginPhase(obs.PhasePayments, r.roundID, r.bidEpoch)
+		}
+		var err error
+		if j == 0 {
+			envs, seconds, err = sealPayments(rs)
+		}
+		if err == nil {
+			err = r.submitPayments(envs, seconds, r.m*len(rs))
+		}
+		if spans && r.tracer != nil {
+			r.tracer.EndPhase(obs.PhasePayments)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sealPayments signs every processor's submission over rs — the m
+// independent signatures in parallel (run.sealEach). A payment
+// equivocator also signs a second, contradictory submission (its own
+// entry raised by 1 in every vector); seconds is nil when nobody
+// equivocates.
+func sealPayments(rs []*run) (envs, seconds []sig.Envelope, err error) {
+	lead := rs[0]
+	kind := referee.KindPayment
+	if lead.instOf > 1 {
+		kind = referee.KindLoadPayment
+	}
+	// payload builds member i's submission; bump raises its own entry by
+	// 1 in every vector (an equivocator's second submission).
+	payload := func(i int, bump bool) any {
+		qs := make([][]float64, len(rs))
+		for j, r := range rs {
+			qs[j] = r.vectors[i]
+			if bump {
+				qs[j] = append([]float64(nil), qs[j]...)
+				qs[j][i]++
+			}
+		}
+		id := lead.agents[i].ID
+		if lead.instOf <= 1 {
+			return referee.PaymentPayload{Proc: id, Q: qs[0], Round: lead.roundID}
+		}
+		return referee.LoadPaymentPayload{Proc: id, Round: lead.load, First: lead.inst, Q: qs}
+	}
+	payloads := make([]any, lead.m)
+	for i := range payloads {
+		payloads[i] = payload(i, false)
+	}
+	if envs, err = lead.sealEach(kind, payloads); err != nil {
+		return nil, nil, err
+	}
+	for i, a := range lead.agents {
+		if !a.Behavior.EquivocatePayments {
+			continue
+		}
+		if seconds == nil {
+			seconds = make([]sig.Envelope, lead.m)
+		}
+		if seconds[i], err = lead.seal(a.Key, kind, payload(i, true)); err != nil {
+			return nil, nil, err
+		}
+	}
+	return envs, seconds, nil
+}
+
+// submitPayments has every processor send its sealed submission envs[i]
+// (and an equivocator's seconds[i]) to the referee, which checks
+// unanimity, fines deviants, and forwards Q to the payment
+// infrastructure. units is the submission's bus size: m per payment
+// vector it carries.
+func (r *run) submitPayments(envs, seconds []sig.Envelope, units int) error {
 	subs := make(map[string][]sig.Envelope, r.m)
-	vectors := make([]any, r.m)
 	for i, a := range r.agents {
-		vectors[i] = referee.PaymentPayload{Proc: a.ID, Q: a.PaymentVector(out.Payment, i), Round: r.roundID}
-	}
-	envs, err := r.sealEach(referee.KindPayment, vectors)
-	if err != nil {
-		return err
-	}
-	for i, a := range r.agents {
-		env := envs[i]
-		if _, err := r.xp.sendReliable(a.ID, r.refAddr, referee.KindPayment, env, r.m); err != nil {
+		if a.Behavior.WithholdPayment {
+			continue
+		}
+		if _, err := r.xp.sendReliable(a.ID, r.refAddr, envs[i].Kind, envs[i], units); err != nil {
 			return err
 		}
 		// A sealed payment vector the referee can verify is signed
 		// evidence — the sentinel requires some before any conviction.
-		r.evidence(a.ID, referee.KindPayment)
-		subs[a.ID] = []sig.Envelope{env}
-		if a.Behavior.EquivocatePayments {
-			q2 := a.PaymentVector(out.Payment, i)
-			q2[i] += 1
-			env2, err := r.seal(a.Key, referee.KindPayment, referee.PaymentPayload{Proc: a.ID, Q: q2, Round: r.roundID})
-			if err != nil {
+		r.evidence(a.ID, envs[i].Kind)
+		subs[a.ID] = []sig.Envelope{envs[i]}
+		if seconds != nil && seconds[i].Signature != nil {
+			if _, err := r.xp.sendReliable(a.ID, r.refAddr, seconds[i].Kind, seconds[i], units); err != nil {
 				return err
 			}
-			if _, err := r.xp.sendReliable(a.ID, r.refAddr, referee.KindPayment, env2, r.m); err != nil {
-				return err
-			}
-			subs[a.ID] = append(subs[a.ID], env2)
+			subs[a.ID] = append(subs[a.ID], seconds[i])
 		}
 	}
 
-	v, q, err := r.ref.JudgePayments(r.bids, derived, subs)
+	v, q, err := r.ref.JudgePayments(r.bids, r.derived, subs)
 	if err != nil {
 		return err
 	}
@@ -1053,6 +1140,7 @@ func (r *run) phasePayments() error {
 	// it, so across a pipelined load the per-installment payments sum to
 	// (telescope into) the single-round payment — exactly so at
 	// loadFrac=1, where the scaling multiplies by the constant 1.
+	out := &r.payOut
 	paid := make([]float64, len(q))
 	inv := payment.Invoice{Payer: UserID}
 	for i, p := range r.procs {
@@ -1086,5 +1174,6 @@ func (r *run) phasePayments() error {
 			Values: []float64{total},
 		})
 	}
+	r.outcome.Completed = true
 	return nil
 }

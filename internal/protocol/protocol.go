@@ -333,8 +333,13 @@ type run struct {
 	// engine is the O(m) payment engine behind the Computing Payments
 	// phase; payOut is its reused scratch Outcome, so repeated protocol
 	// rounds do not allocate per-run payment state.
-	engine  *core.PaymentEngine
-	payOut  core.Outcome
+	engine *core.PaymentEngine
+	payOut core.Outcome
+	// derived and vectors are what preparePayments leaves for the
+	// submission: the meter-derived execution values w̃ and each
+	// participant's payment vector.
+	derived []float64
+	vectors [][]float64
 	outcome *Outcome
 	bidEnvs []sig.Envelope // agreed signed bid of each processor, index order
 	bids    []float64
@@ -348,11 +353,13 @@ type run struct {
 	bidEpoch string
 	// loadFrac is cfg.LoadFrac with the zero default resolved to 1, and
 	// inst/instOf name the installment this run serves (0/0 for
-	// whole-load rounds). policy is the load's installment division
-	// policy; it only matters when instOf > 1.
+	// whole-load rounds) of the load whose session round is load.
+	// policy is the load's installment division policy; it only matters
+	// when instOf > 1.
 	loadFrac float64
 	inst     int
 	instOf   int
+	load     string
 	policy   dlt.RoundPolicy
 	// epochs, when non-nil, holds the per-participant bid epoch in force
 	// (spliced caches mix epochs); nil means bidEpoch applies uniformly.
@@ -421,18 +428,21 @@ type roundBinding struct {
 	round string
 	epoch string
 	// inst / instOf, when instOf > 1, mark this execution as installment
-	// inst of instOf sub-rounds of one pipelined load; the referee enters
-	// an "installment" transcript entry so the audit shows the structure.
-	// policy is the load's installment division policy — it selects the
-	// R-installment makespan terms of the payment rule.
+	// inst of instOf sub-rounds of the pipelined load whose session round
+	// is load; the referee enters an "installment" transcript entry so the
+	// audit shows the structure, and the execution stops with its
+	// payments prepared until the load settles. policy is the load's
+	// installment division policy — it selects the R-installment makespan
+	// terms of the payment rule.
 	inst   int
 	instOf int
+	load   string
 	policy dlt.RoundPolicy
 }
 
 // Run executes the protocol standalone: five full phases, no session.
 func Run(cfg Config) (*Outcome, error) {
-	out, _, err := executeRound(cfg, roundBinding{}, nil, nil)
+	out, _, _, err := executeRound(cfg, roundBinding{}, nil, nil)
 	return out, err
 }
 
@@ -444,8 +454,32 @@ func Run(cfg Config) (*Outcome, error) {
 // only in it settle identically — but it must match across runs whose
 // transcripts are compared for parity.
 func RunRound(cfg Config, round string) (*Outcome, error) {
-	out, _, err := executeRound(cfg, roundBinding{round: round}, nil, nil)
+	out, _, _, err := executeRound(cfg, roundBinding{round: round}, nil, nil)
 	return out, err
+}
+
+// pendingRound is a round's run and how its bids were served. An
+// installment sub-round's pendingRound is what waits, its payments
+// prepared, for the load to settle (LoadRound): the run keeps the
+// prepared payment vectors and its own bus, transport, referee and
+// ledger.
+type pendingRound struct {
+	r               *run
+	reused, spliced bool
+	slot            int // installment index within the load, 0-based
+}
+
+// finish assembles the outcome of a round that is over: settled, ended
+// by a verdict, or failed with e.
+func (p *pendingRound) finish(e error) (*Outcome, error) {
+	out, err := p.r.finish(e)
+	if err != nil {
+		return nil, err
+	}
+	out.RoundID = p.r.roundID
+	out.BidReused = p.reused
+	out.BidSpliced = p.spliced
+	return out, nil
 }
 
 // executeRound executes one protocol round. With a nil cache it runs the
@@ -456,9 +490,13 @@ func RunRound(cfg Config, round string) (*Outcome, error) {
 // O(m) pass) and the remaining phases run against them. A non-nil splice
 // additionally runs the incremental re-bid path: one changed member
 // broadcasts a fresh bid and the cache supplies everyone else's.
-func executeRound(cfg Config, rb roundBinding, cache *bidCache, splice *spliceOp) (*Outcome, *bidCache, error) {
+//
+// A round that is over returns its Outcome. An installment sub-round
+// (rb.instOf > 1) that reaches Computing Payments returns a pendingRound
+// instead, its payments prepared but not yet submitted.
+func executeRound(cfg Config, rb roundBinding, cache *bidCache, splice *spliceOp) (*Outcome, *pendingRound, *bidCache, error) {
 	if err := cfg.validate(); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	// Phase spans. Every BeginPhase is paired with an EndPhase on every
 	// exit path — including terminating verdicts and errors — so a trace
@@ -478,10 +516,10 @@ func executeRound(cfg Config, rb roundBinding, cache *bidCache, splice *spliceOp
 	r, err := setup(cfg)
 	end(obs.PhaseInit)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	r.roundID, r.bidEpoch = rb.round, rb.epoch
-	r.inst, r.instOf, r.policy = rb.inst, rb.instOf, rb.policy
+	r.inst, r.instOf, r.load, r.policy = rb.inst, rb.instOf, rb.load, rb.policy
 	// Media that carry a trace context on the wire (the netbus) get this
 	// round's identity stamped into outgoing frames; the simulated bus
 	// has no such method and is untouched. Independent of the local
@@ -496,15 +534,13 @@ func executeRound(cfg Config, rb roundBinding, cache *bidCache, splice *spliceOp
 		r.xp.tracer = tr
 	}
 	var fresh *bidCache
-	finish := func(e error) (*Outcome, *bidCache, error) {
-		out, ferr := r.finish(e)
+	p := &pendingRound{r: r, reused: cache != nil && splice == nil, spliced: cache != nil && splice != nil}
+	finish := func(e error) (*Outcome, *pendingRound, *bidCache, error) {
+		out, ferr := p.finish(e)
 		if ferr != nil {
-			return nil, nil, ferr
+			return nil, nil, nil, ferr
 		}
-		out.RoundID = rb.round
-		out.BidReused = cache != nil && splice == nil
-		out.BidSpliced = cache != nil && splice != nil
-		return out, fresh, nil
+		return out, nil, fresh, nil
 	}
 	switch {
 	case cache != nil && splice != nil:
@@ -512,14 +548,14 @@ func executeRound(cfg Config, rb roundBinding, cache *bidCache, splice *spliceOp
 		fresh, err = r.spliceBidding(cache, *splice)
 		end(obs.PhaseBidding)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 	case cache != nil:
 		begin(obs.PhaseBidding)
 		err := r.reuseBidding(cache)
 		end(obs.PhaseBidding)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 	default:
 		begin(obs.PhaseBidding)
@@ -544,12 +580,17 @@ func executeRound(cfg Config, rb roundBinding, cache *bidCache, splice *spliceOp
 		return finish(err)
 	}
 	begin(obs.PhasePayments)
-	err = r.phasePayments()
+	err = r.preparePayments()
+	if err == nil && rb.instOf <= 1 {
+		err = settlePayments([]*run{r}, false)
+	}
 	end(obs.PhasePayments)
 	if err != nil {
 		return finish(err)
 	}
-	r.outcome.Completed = true
+	if rb.instOf > 1 {
+		return nil, p, fresh, nil
+	}
 	return finish(nil)
 }
 
@@ -946,7 +987,7 @@ func (r *run) recordInstallment() {
 	if r.instOf <= 1 || r.ref == nil {
 		return
 	}
-	r.ref.RecordInstallment(r.inst, r.instOf, r.loadFrac, r.policy)
+	r.ref.RecordInstallment(r.load, r.inst, r.instOf, r.loadFrac, r.policy)
 	if r.tracer != nil {
 		r.tracer.Event(obs.Event{
 			Kind:   obs.EvInstallment,

@@ -17,11 +17,16 @@ import (
 // zeros, so every reference has exactly one canonical spelling —
 // ParseRoundRef accepts only that spelling and String reproduces it
 // byte-for-byte (the round-trip the FuzzRoundRef target pins down).
-// Distinct installments of one load therefore stamp distinct round IDs,
-// which is what keeps the referee's replay and equivocation checks sharp
-// under pipelining: a payment or bid vector captured in sub-round rN.i2
-// and replayed in rN.i3 fails the round match like any stale-round
-// replay.
+// Distinct installments of one load therefore stamp distinct round IDs:
+// a bid vector or witness report captured in sub-round rN.i2 and
+// replayed in rN.i3 fails the round match like any stale-round replay.
+// Payments bind one level up, to the load: a member signs one load
+// payment envelope for all of rN's installments, stamped rN with the
+// range of installments it covers, and the referee of rN.iK accepts it
+// only when its round is rN and its range covers K. An envelope captured
+// in load rN and replayed in rN+1 fails the round match; replaying it
+// into another installment of rN commits the member to that
+// installment's vector, which it signed anyway.
 
 // RoundRef is a parsed session round identifier.
 type RoundRef struct {

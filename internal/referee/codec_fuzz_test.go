@@ -3,6 +3,7 @@ package referee
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 	"unicode/utf8"
 
@@ -18,6 +19,9 @@ func FuzzPayloadCodec(f *testing.F) {
 	f.Add("P1", 1.5, "s01:r3", []byte(nil))
 	f.Add("", 0.0, "", []byte{0xD1, 1, 'b'})
 	f.Add("P2", math.Inf(1), "r", []byte{0xD1, 1, 'p', 0xFF, 0xFF})
+	f.Add("P3", -0.5, "s01:r7", LoadPaymentPayload{Proc: "P3", Round: "s01:r7", First: 2,
+		Q: [][]float64{{1, 2.5}, {0.125, -3}}}.AppendBinary(nil))
+	f.Add("P4", 2.0, "s01:r8", []byte{0xD1, 1, 'l', 2, 'P', '4', 0, 1, 1, 0})
 	f.Fuzz(func(t *testing.T, proc string, bid float64, round string, raw []byte) {
 		// NaN breaks value equality (and encoding/json rejects it), so
 		// canonicalize while keeping every other bit pattern, ±Inf
@@ -46,6 +50,26 @@ func FuzzPayloadCodec(f *testing.F) {
 			}
 		}
 
+		load := LoadPaymentPayload{Proc: proc, Round: round, First: 3, Q: [][]float64{{bid, -bid}, {0.25}}}
+		lEnc := load.AppendBinary(nil)
+		var gotLoad LoadPaymentPayload
+		if err := gotLoad.DecodeBinary(lEnc); err != nil {
+			t.Fatalf("self-encoded load payment failed to decode: %v", err)
+		}
+		if gotLoad.Proc != load.Proc || gotLoad.Round != load.Round || gotLoad.First != load.First || len(gotLoad.Q) != len(load.Q) {
+			t.Fatalf("load payment round trip: got %+v, want %+v", gotLoad, load)
+		}
+		for k := range load.Q {
+			if len(gotLoad.Q[k]) != len(load.Q[k]) {
+				t.Fatalf("load payment vector %d: %v, want %v", k, gotLoad.Q[k], load.Q[k])
+			}
+			for i := range load.Q[k] {
+				if math.Float64bits(gotLoad.Q[k][i]) != math.Float64bits(load.Q[k][i]) {
+					t.Fatalf("load payment q[%d][%d]: %x != %x", k, i, gotLoad.Q[k][i], load.Q[k][i])
+				}
+			}
+		}
+
 		// JSON agreement arm, for values JSON can carry at all: json
 		// rejects NaN/±Inf and rewrites invalid UTF-8 to U+FFFD, while
 		// the binary codec preserves every bit — so compare only where
@@ -63,6 +87,17 @@ func FuzzPayloadCodec(f *testing.F) {
 			if viaJSON != got {
 				t.Fatalf("codecs disagree: json %+v, binary %+v", viaJSON, got)
 			}
+			lb, err := json.Marshal(load)
+			if err != nil {
+				t.Fatalf("json marshal: %v", err)
+			}
+			var loadViaJSON LoadPaymentPayload
+			if err := json.Unmarshal(lb, &loadViaJSON); err != nil {
+				t.Fatalf("json unmarshal: %v", err)
+			}
+			if !reflect.DeepEqual(loadViaJSON, gotLoad) {
+				t.Fatalf("codecs disagree on the load payment: json %+v, binary %+v", loadViaJSON, gotLoad)
+			}
 		}
 
 		// Hostile-input arm: arbitrary bytes must decode or error, and a
@@ -72,6 +107,23 @@ func FuzzPayloadCodec(f *testing.F) {
 		if err := hostile.DecodeBinary(raw); err == nil {
 			if re := hostile.AppendBinary(nil); string(re) != string(raw) {
 				t.Fatalf("non-canonical encoding accepted: %x re-encodes to %x", raw, re)
+			}
+		}
+		var hostileLoad LoadPaymentPayload
+		fullErr := hostileLoad.DecodeBinary(raw)
+		if fullErr == nil {
+			if re := hostileLoad.AppendBinary(nil); string(re) != string(raw) {
+				t.Fatalf("non-canonical load payment accepted: %x re-encodes to %x", raw, re)
+			}
+		}
+		// The referee's one-installment view accepts exactly what the full
+		// decoder accepts and reads the same vector.
+		view := loadPaymentAt{k: 2}
+		if viewErr := view.DecodeBinary(raw); (viewErr == nil) != (fullErr == nil) {
+			t.Fatalf("view decode error %v, full decode error %v", viewErr, fullErr)
+		} else if viewErr == nil {
+			if i := 2 - view.First; i >= 0 && i < len(view.Q) && !reflect.DeepEqual(view.Q[i], hostileLoad.Q[i]) {
+				t.Fatalf("view reads installment 2 as %v, full decode as %v", view.Q[i], hostileLoad.Q[i])
 			}
 		}
 		var hostileVec BidVectorPayload

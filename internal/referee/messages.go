@@ -2,6 +2,7 @@ package referee
 
 import (
 	"fmt"
+	"math"
 
 	"dlsbl/internal/sig"
 )
@@ -15,6 +16,7 @@ const (
 	KindBid           = "dls/bid"            // Bidding phase broadcast
 	KindBidVector     = "dls/bid-vector"     // vector submitted to the referee on a claim
 	KindPayment       = "dls/payment"        // Computing Payments submission
+	KindLoadPayment   = "dls/load-payment"   // one submission for a pipelined load's installments
 	KindMeters        = "dls/meters"         // referee's meter broadcast
 	KindClaim         = "dls/claim"          // misallocation claim
 	KindWitnessReport = "dls/witness-report" // unreachability report against a bidder
@@ -50,6 +52,21 @@ type PaymentPayload struct {
 	Proc  string    `json:"proc"`
 	Q     []float64 `json:"q"`
 	Round string    `json:"round,omitempty"`
+}
+
+// LoadPaymentPayload is the Computing Payments submission for the
+// installments of one pipelined load, signed once instead of once per
+// installment: Q[j] is the payment vector for installment First+j of the
+// load whose session round is Round ("<salt>:rN", without an installment
+// suffix). The referee of sub-round "<salt>:rN.iK" accepts it only when
+// Round names its load and the range covers K, and judges Q[K−First]
+// exactly like a PaymentPayload's Q, so an envelope from another load is
+// a stale-round replay.
+type LoadPaymentPayload struct {
+	Proc  string      `json:"proc"`
+	Round string      `json:"round"`
+	First int         `json:"first"`
+	Q     [][]float64 `json:"q"`
 }
 
 // MetersPayload is the referee's broadcast of observed execution times
@@ -95,6 +112,7 @@ const (
 	tagBid       = 'b'
 	tagBidVector = 'v'
 	tagPayment   = 'p'
+	tagLoadPay   = 'l'
 	tagMeters    = 'm'
 	tagWitness   = 'w'
 )
@@ -162,6 +180,61 @@ func (p *PaymentPayload) DecodeBinary(src []byte) error {
 	r.StringInto(&p.Round)
 	return r.Close()
 }
+
+// AppendBinary implements sig.BinaryAppender.
+func (p LoadPaymentPayload) AppendBinary(dst []byte) []byte {
+	dst = sig.AppendBinaryHeader(dst, tagLoadPay)
+	dst = sig.AppendString(dst, p.Proc)
+	dst = sig.AppendString(dst, p.Round)
+	dst = sig.AppendUvarint(dst, uint64(p.First))
+	dst = sig.AppendUvarint(dst, uint64(len(p.Q)))
+	for _, q := range p.Q {
+		dst = sig.AppendFloats(dst, q)
+	}
+	return dst
+}
+
+// DecodeBinary implements sig.BinaryDecoder.
+func (p *LoadPaymentPayload) DecodeBinary(src []byte) error { return p.decode(src, -1) }
+
+// decode reads a binary load payment. With only ≥ 0 it materializes the
+// vector of installment only alone and leaves the others nil: their
+// bytes are bounds-checked but not decoded.
+func (p *LoadPaymentPayload) decode(src []byte, only int) error {
+	r := sig.NewBinReader(src, tagLoadPay)
+	r.StringInto(&p.Proc)
+	r.StringInto(&p.Round)
+	first := r.Uvarint()
+	n := r.Uvarint()
+	if first > math.MaxInt32 || n > uint64(len(src)) { // each vector takes ≥1 byte; cheap sanity bound
+		return fmt.Errorf("%w: load payment first %d, %d vectors", sig.ErrBinaryPayload, first, n)
+	}
+	p.First = int(first)
+	if uint64(cap(p.Q)) < n {
+		p.Q = make([][]float64, n)
+	}
+	p.Q = p.Q[:n]
+	for i := range p.Q {
+		if only < 0 || p.First+i == only {
+			r.FloatsInto(&p.Q[i])
+		} else {
+			p.Q[i] = nil
+			r.SkipFloats()
+		}
+	}
+	return r.Close()
+}
+
+// loadPaymentAt is the referee's view of a load payment in installment
+// k: a binary payload decodes only installment k's vector, which is the
+// only one the installment's judgment reads. JSON payloads decode whole.
+type loadPaymentAt struct {
+	LoadPaymentPayload
+	k int
+}
+
+// DecodeBinary implements sig.BinaryDecoder.
+func (p *loadPaymentAt) DecodeBinary(src []byte) error { return p.decode(src, p.k) }
 
 // AppendBinary implements sig.BinaryAppender.
 func (p MetersPayload) AppendBinary(dst []byte) []byte {

@@ -71,11 +71,11 @@ type Referee struct {
 	// same registry (see sig.VerifyMemo), so adjudications are unchanged.
 	ver *sig.BatchVerifier
 
-	// instRounds/instPolicy, set by RecordInstallment, mark this round as
-	// an installment sub-round of a pipelined load: payment recomputation
-	// then uses the R-installment rule. Zero for whole-load rounds.
-	instRounds int
-	instPolicy dlt.RoundPolicy
+	// inst, set by RecordInstallment, marks this round as installment
+	// inst.K of a pipelined load: payment submissions are then the load's
+	// LoadPaymentPayload envelopes and payment recomputation uses the
+	// R-installment rule. The zero value is a whole-load round.
+	inst InstBinding
 
 	// send, when non-nil, streams every state change (audit entries,
 	// meters, evictions, installment bindings) to a standby referee; see
@@ -221,19 +221,22 @@ func (r *Referee) RecordBidReuse(epoch string, sinceRebid int) AuditEntry {
 }
 
 // RecordInstallment enters an installment boundary into the transcript:
-// this round is sub-round k of `of` installments of one pipelined load,
-// carrying the given fraction of it under the given division policy. The
-// entry makes the pipelining auditable — a reviewer can check that a
-// load's installment fractions sum to 1 and that every sub-round carried
-// a distinct round ID (which is what keeps cross-installment replays
-// convictable) — and arms the referee's payment recomputation with the
-// installment rule, so a payment dispute in a pipelined sub-round is
-// judged against the R-installment truth, not the single-round one.
-func (r *Referee) RecordInstallment(k, of int, frac float64, policy dlt.RoundPolicy) AuditEntry {
-	r.instRounds, r.instPolicy = of, policy
+// this round is sub-round k of `of` installments of the pipelined load
+// whose session round is load ("<salt>:rN"), carrying the given fraction
+// of it under the given division policy. The entry makes the pipelining
+// auditable — an auditor can check that a load's installment fractions
+// sum to 1 and that every sub-round carried a distinct round ID — and
+// arms the payment adjudication for the sub-round: JudgePayments then
+// takes the load's LoadPaymentPayload envelopes, bound to load and
+// covering k, and recomputes disputes under the installment rule, so a
+// payment dispute in a pipelined sub-round is judged against the
+// R-installment truth, not the single-round one.
+func (r *Referee) RecordInstallment(load string, k, of int, frac float64, policy dlt.RoundPolicy) AuditEntry {
+	r.inst = InstBinding{Rounds: of, Policy: policy, Load: load, K: k}
 	e := r.audit.AppendRound(r.round, "installment", "bidding", nil,
 		fmt.Sprintf("installment %d/%d (%s) carrying load fraction %.9g", k, of, policy, frac))
-	r.replicate(AuditReplicaPayload{Entry: &e, Inst: &InstBinding{Rounds: of, Policy: policy}})
+	inst := r.inst
+	r.replicate(AuditReplicaPayload{Entry: &e, Inst: &inst})
 	return e
 }
 
@@ -682,7 +685,9 @@ const paymentTol = 1e-9
 
 // JudgePayments adjudicates the Computing Payments phase. submissions
 // maps each processor to the signed payment-vector envelopes it sent to
-// the referee (normally exactly one). Deviations fined F each:
+// the referee (normally exactly one): PaymentPayload envelopes in a
+// whole-load round, the load's LoadPaymentPayload envelopes in an
+// installment sub-round (see RecordInstallment). Deviations fined F each:
 //
 //   - contradictory multiple submissions (equivocation);
 //   - missing, unverifiable or malformed submissions;
@@ -721,24 +726,16 @@ func (r *Referee) JudgePayments(bids, exec []float64, submissions map[string][]s
 				continue
 			}
 		}
-		var pp PaymentPayload
-		if err := r.open(&envs[0], &pp); err != nil {
-			guilty[p] = fmt.Sprintf("payment vector rejected: %v", err)
+		q, reason := r.openPayment(p, &envs[0])
+		if reason != "" {
+			guilty[p] = reason
 			continue
 		}
-		if envs[0].Sender != p || pp.Proc != p {
-			guilty[p] = "payment vector sender mismatch"
+		if len(q) != m {
+			guilty[p] = fmt.Sprintf("payment vector has %d entries, want %d", len(q), m)
 			continue
 		}
-		if pp.Round != r.round {
-			guilty[p] = fmt.Sprintf("payment vector carries round %q, current round is %q (stale-round replay?)", pp.Round, r.round)
-			continue
-		}
-		if len(pp.Q) != m {
-			guilty[p] = fmt.Sprintf("payment vector has %d entries, want %d", len(pp.Q), m)
-			continue
-		}
-		vectors[p] = pp.Q
+		vectors[p] = q
 	}
 
 	// Unanimity check among the (so far) valid vectors.
@@ -766,7 +763,7 @@ func (r *Referee) JudgePayments(bids, exec []float64, submissions map[string][]s
 	// Disagreement (or prior guilt): the referee recomputes the truth
 	// from the bids and the meter-derived execution values — under the
 	// installment payment rule when this round is a pipelined sub-round.
-	out, err := r.mech.RunRounds(bids, exec, r.instRounds, r.instPolicy, core.WithVerification)
+	out, err := r.mech.RunRounds(bids, exec, r.inst.Rounds, r.inst.Policy, core.WithVerification)
 	if err != nil {
 		return Verdict{}, nil, fmt.Errorf("referee: recomputing payments: %w", err)
 	}
@@ -781,6 +778,42 @@ func (r *Referee) JudgePayments(bids, exec []float64, submissions map[string][]s
 		v.Reason = "recomputed payments match all submissions"
 	}
 	return r.audited(v), truth, nil
+}
+
+// openPayment verifies proc's payment submission and returns the vector
+// it commits this round to, or the reason it is rejected. A whole-load
+// round takes a PaymentPayload bound to the round; an installment
+// sub-round takes the load's LoadPaymentPayload, bound to the load and
+// covering this installment, and reads this installment's vector.
+func (r *Referee) openPayment(proc string, env *sig.Envelope) ([]float64, string) {
+	if r.inst.Rounds == 0 {
+		var pp PaymentPayload
+		if err := r.open(env, &pp); err != nil {
+			return nil, fmt.Sprintf("payment vector rejected: %v", err)
+		}
+		if env.Sender != proc || pp.Proc != proc {
+			return nil, "payment vector sender mismatch"
+		}
+		if pp.Round != r.round {
+			return nil, fmt.Sprintf("payment vector carries round %q, current round is %q (stale-round replay?)", pp.Round, r.round)
+		}
+		return pp.Q, ""
+	}
+	lp := loadPaymentAt{k: r.inst.K}
+	if err := r.open(env, &lp); err != nil {
+		return nil, fmt.Sprintf("load payment rejected: %v", err)
+	}
+	if env.Sender != proc || lp.Proc != proc {
+		return nil, "load payment sender mismatch"
+	}
+	if lp.Round != r.inst.Load {
+		return nil, fmt.Sprintf("load payment carries round %q, current load is %q (stale-round replay?)", lp.Round, r.inst.Load)
+	}
+	k := r.inst.K - lp.First
+	if k < 0 || k >= len(lp.Q) {
+		return nil, fmt.Sprintf("load payment covers installments %d–%d, not installment %d", lp.First, lp.First+len(lp.Q)-1, r.inst.K)
+	}
+	return lp.Q[k], ""
 }
 
 func vectorsEqual(a, b []float64) bool {

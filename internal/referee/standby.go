@@ -28,15 +28,14 @@ const StandbyAccount = "referee-standby"
 // StandbySnapshot is the full referee state at attach time: the primary
 // sends it once, then streams incremental AuditReplicaPayload updates.
 type StandbySnapshot struct {
-	Procs      []string           `json:"procs"`
-	Fine       float64            `json:"fine"`
-	Round      string             `json:"round,omitempty"`
-	BidEpoch   string             `json:"bid_epoch,omitempty"`
-	Epochs     []string           `json:"epochs,omitempty"`
-	InstRounds int                `json:"inst_rounds,omitempty"`
-	InstPolicy dlt.RoundPolicy    `json:"inst_policy,omitempty"`
-	Meters     map[string]float64 `json:"meters,omitempty"`
-	Entries    []AuditEntry       `json:"entries,omitempty"`
+	Procs    []string           `json:"procs"`
+	Fine     float64            `json:"fine"`
+	Round    string             `json:"round,omitempty"`
+	BidEpoch string             `json:"bid_epoch,omitempty"`
+	Epochs   []string           `json:"epochs,omitempty"`
+	Inst     *InstBinding       `json:"inst,omitempty"`
+	Meters   map[string]float64 `json:"meters,omitempty"`
+	Entries  []AuditEntry       `json:"entries,omitempty"`
 }
 
 // MeterReading replicates one tamper-proof meter value exactly. The
@@ -47,11 +46,16 @@ type MeterReading struct {
 	Phi  float64 `json:"phi"`
 }
 
-// InstBinding replicates the installment payment rule RecordInstallment
-// armed on the primary.
+// InstBinding is the installment binding RecordInstallment arms: the
+// load's installment count and division policy (the payment rule), the
+// load's session round and this sub-round's installment number (which
+// load payment envelopes the referee accepts). It replicates to the
+// standby as is.
 type InstBinding struct {
 	Rounds int             `json:"rounds"`
 	Policy dlt.RoundPolicy `json:"policy"`
+	Load   string          `json:"load,omitempty"`
+	K      int             `json:"k,omitempty"`
 }
 
 // AuditReplicaPayload is one primary → standby replication message. The
@@ -109,9 +113,7 @@ func (s *Standby) Apply(reg *sig.Registry, env sig.Envelope) error {
 		for proc, phi := range p.Snapshot.Meters {
 			s.meters[proc] = phi
 		}
-		if p.Snapshot.InstRounds > 0 {
-			s.inst = &InstBinding{Rounds: p.Snapshot.InstRounds, Policy: p.Snapshot.InstPolicy}
-		}
+		s.inst = p.Snapshot.Inst
 		return nil
 	}
 	if s.snap == nil {
@@ -182,7 +184,7 @@ func (s *Standby) Promote(reg *sig.Registry, ledger *payment.Ledger, mech core.M
 		ref.epochs = epochs
 	}
 	if s.inst != nil {
-		ref.instRounds, ref.instPolicy = s.inst.Rounds, s.inst.Policy
+		ref.inst = *s.inst
 	}
 	for proc, phi := range s.meters {
 		ref.meters[proc] = phi
@@ -201,14 +203,16 @@ func (s *Standby) Promote(reg *sig.Registry, ledger *payment.Ledger, mech core.M
 // only a later promotion must refuse to proceed from a torn replica.
 func (r *Referee) AttachStandby(send func(AuditReplicaPayload) error) error {
 	snap := &StandbySnapshot{
-		Procs:      append([]string(nil), r.procs...),
-		Fine:       r.fine,
-		Round:      r.round,
-		BidEpoch:   r.bidEpoch,
-		Epochs:     append([]string(nil), r.epochs...),
-		InstRounds: r.instRounds,
-		InstPolicy: r.instPolicy,
-		Entries:    r.audit.Entries(),
+		Procs:    append([]string(nil), r.procs...),
+		Fine:     r.fine,
+		Round:    r.round,
+		BidEpoch: r.bidEpoch,
+		Epochs:   append([]string(nil), r.epochs...),
+		Entries:  r.audit.Entries(),
+	}
+	if r.inst.Rounds > 0 {
+		inst := r.inst
+		snap.Inst = &inst
 	}
 	if len(r.meters) > 0 {
 		snap.Meters = make(map[string]float64, len(r.meters))

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -185,11 +186,17 @@ func TestHTTPRejectsOutOfRangeSpecs(t *testing.T) {
 		{"/v1/pools", `{"name":"bad","w":[1,2],"fine":-5}`},
 		{"/v1/jobs", `{"pool":"p","jobs":[{"z":-0.2,"seed":1}]}`},
 		{"/v1/jobs", `{"pool":"p","jobs":[{"z":0.2,"seed":1,"nblocks":-4}]}`},
+		{"/v1/jobs", `{"pool":"p","jobs":[{"z":0.2,"seed":1,"installments":200000}]}`},
+		{"/v1/jobs", fmt.Sprintf(`{"pool":"p","jobs":[{"z":0.2,"seed":1,"installments":%d}]}`, protocol.MaxInstallments+1)},
 	} {
 		resp := postJSON(t, ts.URL+tc.path, tc.body)
+		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("POST %s %s → %s, want 400", tc.path, tc.body, resp.Status)
+		}
+		if strings.Contains(tc.body, "installments") && !strings.Contains(string(body), "installments must be in [0, 64]") {
+			t.Errorf("POST %s %s: 400 body %q does not give the reason", tc.path, tc.body, body)
 		}
 	}
 }

@@ -40,8 +40,9 @@ type JobSpec struct {
 }
 
 // toJob resolves the spec into a session job, rejecting a negative or
-// non-finite z, a negative block count and unknown behavior names, so a
-// job that could never run fails admission instead of its round.
+// non-finite z, a negative block count, an installment count outside
+// [0, protocol.MaxInstallments] and unknown behavior names, so a job
+// that could never run fails admission instead of its round.
 func (spec JobSpec) toJob() (session.Job, error) {
 	if !(spec.Z >= 0) || math.IsInf(spec.Z, 0) {
 		return session.Job{}, fmt.Errorf("z must be finite and >= 0, got %v", spec.Z)
@@ -58,8 +59,8 @@ func (spec JobSpec) toJob() (session.Job, error) {
 	if spec.Retry != nil {
 		job.Retry = *spec.Retry
 	}
-	if spec.Installments < 0 {
-		return session.Job{}, fmt.Errorf("installments must be >= 0, got %d", spec.Installments)
+	if spec.Installments < 0 || spec.Installments > protocol.MaxInstallments {
+		return session.Job{}, fmt.Errorf("installments must be in [0, %d], got %d", protocol.MaxInstallments, spec.Installments)
 	}
 	job.Installments = spec.Installments
 	if spec.InstallmentPolicy != "" {

@@ -345,6 +345,9 @@ func TestAdmissionValidation(t *testing.T) {
 		{Z: -0.2, Seed: 1},
 		{Z: math.NaN(), Seed: 1},
 		{Z: 0.2, Seed: 1, NBlocks: -1},
+		{Z: 0.2, Seed: 1, Installments: -1},
+		{Z: 0.2, Seed: 1, Installments: protocol.MaxInstallments + 1},
+		{Z: 0.2, Seed: 1, Installments: 200000},
 	} {
 		if _, err := srv.Submit("p", []JobSpec{{Z: 0.2, Seed: 2}, bad}, nil); err == nil {
 			t.Fatalf("job %+v admitted", bad)

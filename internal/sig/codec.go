@@ -267,6 +267,20 @@ func (r *BinReader) FloatsInto(xs *[]float64) {
 	*xs = out
 }
 
+// SkipFloats skips a length-prefixed float64 slice, checking that its
+// bytes are present.
+func (r *BinReader) SkipFloats() {
+	n := r.Uvarint()
+	if r.err != nil {
+		return
+	}
+	if n > uint64(len(r.buf)-r.off)/8 {
+		r.err = fmt.Errorf("%w: float count %d exceeds remaining bytes", ErrBinaryPayload, n)
+		return
+	}
+	r.off += int(n) * 8
+}
+
 // AppendBinary encodes the envelope itself (for payloads that nest
 // envelopes, like bid vectors): length-prefixed sender, kind, payload and
 // signature.
